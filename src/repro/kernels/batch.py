@@ -13,10 +13,16 @@ trace axis; this module adds the batch axis:
   (:func:`~repro.kernels.governors.select_batch_trace_indices`).
 * **Fleet stacks** -- B fleet replays sharing one (workload, fleet
   size, governor, routing, autoscaler) configuration become
-  ``(B, N, T)`` tensors.  The autoscaler's power-state machine,
-  ``pack``'s sequential fill and ``least_loaded``'s frequency-coupled
-  weights stay step-sequential *within* a replay but operate on
-  length-B / ``(B, N)`` slices *across* the batch; queueing tails go
+  ``(B, N, T)`` tensors.  ``pack``'s sequential fill carries no state
+  from one step to the next, so it walks the N nodes in id order over
+  whole ``(B, T)`` arrays.  The autoscaler's power-state machine runs
+  its one-step body only at steps where some fleet can change state (a
+  node boots, or the load leaves the band with a new desired count)
+  and jumps over the quiet stretches between them with a vectorized
+  forward search, so its Python work grows with scaling events, not
+  trace length.  ``least_loaded``'s frequency-coupled weights and the
+  ``conservative`` governor stay step-sequential *within* a replay but
+  operate on ``(B, N)`` slices *across* the batch; queueing tails go
   through the deduplicating closed-form
   :func:`~repro.kernels.fleet.tail_latencies` kernel once for the
   whole batch.
@@ -131,6 +137,15 @@ class ReplaySpec:
                     "single-server replays have no fleet to disturb"
                 )
             return
+        # A float or bool size would only fail deep inside NumPy.
+        if isinstance(self.fleet_size, bool) or not isinstance(
+            self.fleet_size, int
+        ):
+            raise SpecError(
+                f"replay spec: fleet_size must be an int or None, "
+                f"got {self.fleet_size!r} "
+                f"({type(self.fleet_size).__name__})"
+            )
         if self.fleet_size < 1:
             raise SpecError(
                 f"fleet_size must be >= 1, got {self.fleet_size}"
@@ -364,11 +379,15 @@ class GovernorReplayBatch:
 
 # -- fleet batches ----------------------------------------------------------------------
 
+# Steps in the first forward-search window after an event; each quiet
+# window doubles the next one.
+_FIRST_WINDOW = 16
+
 
 def _desired_active_batch(
     mass: np.ndarray, fleet_size: int, autoscaler: Autoscaler
 ) -> np.ndarray:
-    """Vector twin of :meth:`Autoscaler.desired_active` over B rows."""
+    """Vector twin of :meth:`Autoscaler.desired_active`, elementwise."""
     needed = np.ceil(mass / autoscaler.target - 1e-12).astype(np.int64)
     desired = np.maximum(
         autoscaler.min_servers, np.minimum(fleet_size, needed)
@@ -376,16 +395,135 @@ def _desired_active_batch(
     return np.where(mass <= 0.0, autoscaler.min_servers, desired)
 
 
+def _out_of_band(
+    mass: np.ndarray, capacity: np.ndarray, autoscaler: Autoscaler
+) -> np.ndarray:
+    """Where utilisation over ``capacity`` nodes leaves the band.
+
+    The one-step body and the forward search share this predicate, so
+    a step the search skips sees the same float operations the body
+    would have run on it.
+    """
+    utilization = np.where(
+        capacity > 0, mass / np.maximum(capacity, 1), np.inf
+    )
+    return (utilization > autoscaler.high) | (utilization < autoscaler.low)
+
+
+def _timeline_step(
+    mass: np.ndarray,
+    states: np.ndarray,
+    boot: np.ndarray,
+    fleet_size: int,
+    autoscaler: Autoscaler,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """One autoscaler step for all B fleets: ``(states, boot, woken)``.
+
+    (B, N) array ops that mirror ``_resolve_states``'s scalar pass:
+    boots first, then one scaling decision (lowest-id off nodes wake,
+    booting nodes park before the highest-id serving nodes).
+    ``woken`` is the (B, N) wake mask, or None when nothing woke.
+    """
+    booting = states == _BOOTING
+    if booting.any():
+        boot = boot - booting.astype(np.int64)
+        done = booting & (boot <= 0)
+        states = np.where(done, np.int8(_SERVING), states)
+        boot = np.where(done, 0, boot)
+    serving = states == _SERVING
+    booting = states == _BOOTING
+    off = states == _OFF
+    n_serving = serving.sum(axis=1)
+    n_booting = booting.sum(axis=1)
+    active = n_serving + n_booting
+    # Serving capacity, falling back to booting capacity during a cold
+    # start (mirrors Autoscaler.scale's utilisation fix).
+    capacity = np.where(n_serving > 0, n_serving, n_booting)
+    desired = np.where(
+        _out_of_band(mass, capacity, autoscaler),
+        _desired_active_batch(mass, fleet_size, autoscaler),
+        active,
+    )
+    delta = desired - active
+    wake_quota = np.maximum(delta, 0)
+    wake = None
+    if wake_quota.any():
+        # Rank each off node by how many off nodes have a lower id: the
+        # lowest-ranked `quota` of them wake.
+        off_rank = np.cumsum(off, axis=1) - off.astype(np.int64)
+        wake = off & (off_rank < wake_quota[:, np.newaxis])
+        if autoscaler.wake_steps <= 0:
+            states = np.where(wake, np.int8(_SERVING), states)
+        else:
+            states = np.where(wake, np.int8(_BOOTING), states)
+            boot = np.where(wake, autoscaler.wake_steps, boot)
+    # Boot grace (mirrors Autoscaler.scale): no parking unless the
+    # desired count undercuts even the serving set.
+    park_quota = np.where(desired < n_serving, np.maximum(-delta, 0), 0)
+    if park_quota.any():
+        # Candidates in park order: booting nodes by descending id,
+        # then serving nodes by descending id.  A node's rank is the
+        # number of candidates ahead of it.
+        higher_boot = (
+            booting[:, ::-1].cumsum(axis=1)[:, ::-1]
+            - booting.astype(np.int64)
+        )
+        higher_serving = (
+            serving[:, ::-1].cumsum(axis=1)[:, ::-1]
+            - serving.astype(np.int64)
+        )
+        park = (booting & (higher_boot < park_quota[:, np.newaxis])) | (
+            serving
+            & (
+                (n_booting[:, np.newaxis] + higher_serving)
+                < park_quota[:, np.newaxis]
+            )
+        )
+        states = np.where(park, np.int8(_OFF), states)
+        boot = np.where(park, 0, boot)
+    return states, boot, wake
+
+
+def _event_steps(
+    mass2d: np.ndarray,
+    states: np.ndarray,
+    fleet_size: int,
+    autoscaler: Autoscaler,
+) -> np.ndarray:
+    """(B, W) mask of the steps :func:`_timeline_step` would act on.
+
+    Valid only while no node boots: then capacity is the serving (=
+    active) count, and a step changes a fleet's state exactly when its
+    utilisation leaves the band with a desired count other than the
+    active one -- the same predicate, with the same float operations,
+    as the one-step body.
+    """
+    active = (states == _SERVING).sum(axis=1)[:, np.newaxis]
+    return _out_of_band(mass2d, active, autoscaler) & (
+        _desired_active_batch(mass2d, fleet_size, autoscaler) != active
+    )
+
+
 def _batched_state_timeline(
     mass2d: np.ndarray, fleet_size: int, autoscaler: Optional[Autoscaler]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The autoscaler state machine over all B replays at once.
+    """The autoscaler state machine over all B replays, event to event.
 
-    Returns ``(state3d, wake3d)`` of shape (B, N, T).  The loop runs
-    over T only; every step advances all B fleets with (B, N) array
-    ops that mirror ``_resolve_states``'s scalar pass: boots first,
-    then one scaling decision (lowest-id off nodes wake, booting
-    nodes park before the highest-id serving nodes).
+    Returns ``(state3d, wake3d)`` of shape (B, N, T).  A step can change
+    a fleet's state only while a node boots or when its utilisation
+    leaves the band with a desired count other than the active one;
+    every other step repeats the previous states.  So the loop runs
+    :func:`_timeline_step` at those event steps only.  Between them it
+    searches forward for the next event in windows that double while
+    they stay quiet, and broadcasts the held states over the skipped
+    steps.  Across a batch the next event is the earliest over all
+    rows, so a wide batch whose rows' events interleave steps nearly
+    every step, as a per-step loop would.  Python iterations grow with
+    the number of events, and the search reads each (row, step) cell
+    a bounded number of times.  Skipped steps are exactly the steps on
+    which the one-step body changes nothing, so the timeline is
+    bit-identical to stepping every step.  ``batch.timeline_steps``
+    counts the one-step bodies run.
     """
     batch, steps = mass2d.shape
     if autoscaler is None:
@@ -406,78 +544,33 @@ def _batched_state_timeline(
     boot = np.zeros((batch, fleet_size), dtype=np.int64)
     state3d = np.empty((batch, fleet_size, steps), dtype=np.int8)
     wake3d = np.zeros((batch, fleet_size, steps), dtype=bool)
-
-    for step in range(steps):
-        mass = mass2d[:, step]
-        booting = states == _BOOTING
-        if booting.any():
-            boot = boot - booting.astype(np.int64)
-            done = booting & (boot <= 0)
-            states = np.where(done, np.int8(_SERVING), states)
-            boot = np.where(done, 0, boot)
-        if autoscaler is not None:
-            serving = states == _SERVING
-            booting = states == _BOOTING
-            off = states == _OFF
-            n_serving = serving.sum(axis=1)
-            n_booting = booting.sum(axis=1)
-            active = n_serving + n_booting
-            # Serving capacity, falling back to booting capacity during
-            # a cold start (mirrors Autoscaler.scale's utilisation fix).
-            capacity = np.where(n_serving > 0, n_serving, n_booting)
-            utilization = np.where(
-                capacity > 0, mass / np.maximum(capacity, 1), np.inf
-            )
-            rescale = (utilization > autoscaler.high) | (
-                utilization < autoscaler.low
-            )
-            desired = np.where(
-                rescale,
-                _desired_active_batch(mass, fleet_size, autoscaler),
-                active,
-            )
-            delta = desired - active
-            wake_quota = np.maximum(delta, 0)
-            if wake_quota.any():
-                # Rank each off node by how many off nodes have a
-                # lower id: the lowest-ranked `quota` of them wake.
-                off_rank = np.cumsum(off, axis=1) - off.astype(np.int64)
-                wake = off & (off_rank < wake_quota[:, np.newaxis])
-                if autoscaler.wake_steps <= 0:
-                    states = np.where(wake, np.int8(_SERVING), states)
-                else:
-                    states = np.where(wake, np.int8(_BOOTING), states)
-                    boot = np.where(wake, autoscaler.wake_steps, boot)
-                wake3d[:, :, step] = wake
-            # Boot grace (mirrors Autoscaler.scale): no parking unless
-            # the desired count undercuts even the serving set.
-            park_quota = np.where(
-                desired < n_serving, np.maximum(-delta, 0), 0
-            )
-            if park_quota.any():
-                # Candidates in park order: booting nodes by descending
-                # id, then serving nodes by descending id.  A node's
-                # rank is the number of candidates ahead of it.
-                higher_boot = (
-                    booting[:, ::-1].cumsum(axis=1)[:, ::-1]
-                    - booting.astype(np.int64)
-                )
-                higher_serving = (
-                    serving[:, ::-1].cumsum(axis=1)[:, ::-1]
-                    - serving.astype(np.int64)
-                )
-                park = (
-                    booting & (higher_boot < park_quota[:, np.newaxis])
-                ) | (
-                    serving
-                    & (
-                        (n_booting[:, np.newaxis] + higher_serving)
-                        < park_quota[:, np.newaxis]
-                    )
-                )
-                states = np.where(park, np.int8(_OFF), states)
-                boot = np.where(park, 0, boot)
+    window = _FIRST_WINDOW
+    step = 0
+    bodies = 0
+    while step < steps:
+        if not (states == _BOOTING).any():
+            stop = min(step + window, steps)
+            events = _event_steps(
+                mass2d[:, step:stop], states, fleet_size, autoscaler
+            ).any(axis=0)
+            if not events.any():
+                state3d[:, :, step:stop] = states[:, :, np.newaxis]
+                step = stop
+                window *= 2
+                continue
+            event = step + int(events.argmax())
+            state3d[:, :, step:event] = states[:, :, np.newaxis]
+            step = event
+            window = _FIRST_WINDOW
+        states, boot, woken = _timeline_step(
+            mass2d[:, step], states, boot, fleet_size, autoscaler
+        )
+        if woken is not None:
+            wake3d[:, :, step] = woken
         state3d[:, :, step] = states
+        bodies += 1
+        step += 1
+    obs.count("batch.timeline_steps", bodies)
     return state3d, wake3d
 
 
@@ -497,42 +590,44 @@ def _batched_even_split(
 def _batched_pack_shares(
     routing, mass2d, serving3d, active3d, valid2d
 ) -> np.ndarray:
-    """Pack's sequential fill, batched: loop nodes, vectorize rows.
+    """Pack's sequential fill, batched: loop nodes, vectorize (B, T).
 
-    The spill arithmetic is order-dependent float subtraction, so the
-    fill walks nodes in id order exactly like the scalar loop -- but
-    each walk step updates all B remainders at once.  Subtracting a
-    zero take is float-exact, so rows that already drained (the scalar
-    loop's ``break``) pass through unchanged.
+    Pack carries no state from one step to the next, so every
+    (replay, step) cell fills independently.  The spill arithmetic is
+    order-dependent float subtraction, so the fill walks nodes in id
+    order exactly like the scalar loop -- but each walk step updates
+    all (B, T) remainders at once.  Subtracting a zero take is
+    float-exact, so cells that already drained (the scalar loop's
+    ``break``) pass through unchanged, and the overflow lands only on
+    the target cells, so every share sees the scalar loop's float
+    operations in the same order.
     """
-    batch, fleet_size, steps = serving3d.shape
-    shares3d = np.zeros((batch, fleet_size, steps), dtype=np.float64)
+    serving_any2d = serving3d.any(axis=1)
+    targets3d = np.where(
+        serving_any2d[:, np.newaxis, :], serving3d, active3d
+    )
+    counts2d = targets3d.sum(axis=1)
+    if np.any((counts2d == 0) & valid2d):
+        raise ValueError(fleet_kernel._NO_ACTIVE_NODE)
+    shares3d = np.zeros(serving3d.shape, dtype=np.float64)
     fill = routing.fill_fraction
-    for step in range(steps):
-        serving = serving3d[:, :, step]
-        targets = np.where(
-            serving.any(axis=1)[:, np.newaxis],
-            serving,
-            active3d[:, :, step],
+    remaining = mass2d.copy()
+    for node in range(serving3d.shape[1]):
+        eligible = targets3d[:, node, :] & (remaining > 0.0)
+        take = np.where(eligible, np.minimum(fill, remaining), 0.0)
+        shares3d[:, node, :] = take
+        remaining = remaining - take
+    overflowing = remaining > 0.0
+    if overflowing.any():
+        extra = np.where(
+            overflowing, remaining / np.maximum(counts2d, 1), 0.0
         )
-        if np.any(~targets.any(axis=1) & valid2d[:, step]):
-            raise ValueError(fleet_kernel._NO_ACTIVE_NODE)
-        remaining = mass2d[:, step].copy()
-        for node in range(fleet_size):
-            eligible = targets[:, node] & (remaining > 0.0)
-            take = np.where(
-                eligible, np.minimum(fill, remaining), 0.0
-            )
-            shares3d[:, node, step] = take
-            remaining = remaining - take
-        overflowing = remaining > 0.0
-        if overflowing.any():
-            counts = targets.sum(axis=1)
-            safe = np.where(counts == 0, 1, counts)
-            extra = np.where(overflowing, remaining / safe, 0.0)
-            shares3d[:, :, step] += np.where(
-                targets, extra[:, np.newaxis], 0.0
-            )
+        np.add(
+            shares3d,
+            extra[:, np.newaxis, :],
+            out=shares3d,
+            where=targets3d,
+        )
     return shares3d
 
 
@@ -691,148 +786,163 @@ class FleetReplayBatch:
         # sweeping governors over one trace set shares it across its
         # groups.  The arrays are read-only downstream (every consumer
         # derives new arrays), so sharing is safe.
-        if timeline_cache is not None:
-            key = (tuple(self.traces), fleet_size, autoscaler)
-            cached = timeline_cache.get(key)
-            if cached is None:
-                obs.count("batch.timeline_cache_misses")
-                cached = _batched_state_timeline(
+        with obs.trace("batch.timeline"):
+            if timeline_cache is not None:
+                key = (tuple(self.traces), fleet_size, autoscaler)
+                cached = timeline_cache.get(key)
+                if cached is None:
+                    obs.count("batch.timeline_cache_misses")
+                    cached = _batched_state_timeline(
+                        mass2d, fleet_size, autoscaler
+                    )
+                    timeline_cache[key] = cached
+                else:
+                    obs.count("batch.timeline_cache_hits")
+                state3d, wake3d = cached
+            else:
+                state3d, wake3d = _batched_state_timeline(
                     mass2d, fleet_size, autoscaler
                 )
-                timeline_cache[key] = cached
-            else:
-                obs.count("batch.timeline_cache_hits")
-            state3d, wake3d = cached
-        else:
-            state3d, wake3d = _batched_state_timeline(
-                mass2d, fleet_size, autoscaler
-            )
-        serving3d = state3d == _SERVING
-        booting3d = state3d == _BOOTING
-        active3d = serving3d | booting3d
+            serving3d = state3d == _SERVING
+            booting3d = state3d == _BOOTING
+            active3d = serving3d | booting3d
 
         idx3d = np.full(
             (batch, fleet_size, steps), table.nominal_index, dtype=np.int64
         )
         routing_type = type(routing)
         if routing_type is LeastLoadedRouting:
-            shares3d = np.zeros((batch, fleet_size, steps), dtype=np.float64)
-            _batched_sequential_selection(
-                table, governor, True, mass2d, serving3d, active3d,
-                wake3d, shares3d, idx3d, valid2d,
-            )
-        else:
-            if routing_type is RoundRobinRouting:
-                shares3d = _batched_even_split(mass2d, active3d, valid2d)
-            elif routing_type is SpreadRouting:
-                serving_counts = serving3d.sum(axis=1)
-                target3d = np.where(
-                    (serving_counts > 0)[:, np.newaxis, :],
-                    serving3d,
-                    active3d,
+            # least_loaded's weights couple to the previous step's
+            # frequencies, so its routing runs inside the selection pass.
+            with obs.trace("batch.selection"):
+                shares3d = np.zeros(
+                    (batch, fleet_size, steps), dtype=np.float64
                 )
-                shares3d = _batched_even_split(mass2d, target3d, valid2d)
-            else:  # PackRouting
-                shares3d = _batched_pack_shares(
-                    routing, mass2d, serving3d, active3d, valid2d
-                )
-            if is_memoryless_kernel(governor):
-                chosen = select_step_indices(
-                    governor,
-                    table,
-                    shares3d[serving3d],
-                    shares3d[serving3d] * nominal_capacity,
-                    idx3d[serving3d],
-                )
-                idx3d[serving3d] = chosen
-            else:
                 _batched_sequential_selection(
-                    table, governor, False, mass2d, serving3d, active3d,
+                    table, governor, True, mass2d, serving3d, active3d,
                     wake3d, shares3d, idx3d, valid2d,
                 )
-
-        demand3d = shares3d * nominal_capacity
-        frequency3d = np.where(
-            serving3d, table.frequencies_hz[idx3d], np.nan
-        )
-        power3d = np.where(
-            serving3d,
-            table.power_w[idx3d],
-            np.where(booting3d, table.power_w[0], off_power_w),
-        )
-        wake_energy = (
-            autoscaler.wake_energy_j if autoscaler is not None else 0.0
-        )
-        wake_extra3d = np.where(wake3d, wake_energy, 0.0)
-        step_seconds = np.array(
-            [trace.step_seconds for trace in self.traces], dtype=np.float64
-        )
-        energy3d = (
-            power3d * step_seconds[:, np.newaxis, np.newaxis] + wake_extra3d
-        )
-        capacity3d = np.where(serving3d, table.capacity_uips[idx3d], 0.0)
-        served3d = np.where(
-            serving3d, np.minimum(demand3d, capacity3d), 0.0
-        )
-        qos_metric3d = np.where(serving3d, table.qos_metric[idx3d], np.nan)
-        qos_ok3d = np.where(serving3d, table.qos_ok[idx3d], True)
-        demand_met3d = np.where(
-            serving3d,
-            table.covers_capacity_uips[idx3d] >= demand3d,
-            demand3d <= 0.0,
-        )
-        violation3d = ~(qos_ok3d & demand_met3d)
-
-        serving_counts2d = serving3d.sum(axis=1)
-        booting_counts2d = booting3d.sum(axis=1)
-        node_violations2d = violation3d.sum(axis=1)
-
-        if use_queueing:
-            tails2d = _batched_worst_tails(
-                table, workload, serving3d, shares3d, idx3d
-            )
-            qos_limit = workload.qos_limit_seconds
-            queue_ok2d = np.isnan(tails2d) | (
-                tails2d <= qos_limit + 1e-12
-            )
         else:
-            tails2d = np.full((batch, steps), np.nan)
-            queue_ok2d = np.ones((batch, steps), dtype=bool)
+            with obs.trace("batch.routing"):
+                if routing_type is RoundRobinRouting:
+                    shares3d = _batched_even_split(
+                        mass2d, active3d, valid2d
+                    )
+                elif routing_type is SpreadRouting:
+                    serving_counts = serving3d.sum(axis=1)
+                    target3d = np.where(
+                        (serving_counts > 0)[:, np.newaxis, :],
+                        serving3d,
+                        active3d,
+                    )
+                    shares3d = _batched_even_split(
+                        mass2d, target3d, valid2d
+                    )
+                else:  # PackRouting
+                    shares3d = _batched_pack_shares(
+                        routing, mass2d, serving3d, active3d, valid2d
+                    )
+            with obs.trace("batch.selection"):
+                if is_memoryless_kernel(governor):
+                    chosen = select_step_indices(
+                        governor,
+                        table,
+                        shares3d[serving3d],
+                        shares3d[serving3d] * nominal_capacity,
+                        idx3d[serving3d],
+                    )
+                    idx3d[serving3d] = chosen
+                else:
+                    _batched_sequential_selection(
+                        table, governor, False, mass2d, serving3d,
+                        active3d, wake3d, shares3d, idx3d, valid2d,
+                    )
 
-        self.fleet_columns: Dict[str, np.ndarray] = {
-            "utilization": util2d,
-            "offered_uips": mass2d * nominal_capacity,
-            "served_uips": _batched_rowsum(served3d),
-            "total_power_w": _batched_rowsum(power3d),
-            "energy_j": _batched_rowsum(energy3d),
-            "tail_latency_s": tails2d,
-            "active_servers": (
-                serving_counts2d + booting_counts2d
-            ).astype(np.int64),
-            "serving_servers": serving_counts2d.astype(np.int64),
-            "booting_servers": booting_counts2d.astype(np.int64),
-            "used_servers": (serving3d & (shares3d > 0.0))
-            .sum(axis=1)
-            .astype(np.int64),
-            "wake_events": wake3d.sum(axis=1).astype(np.int64),
-            "node_violations": node_violations2d.astype(np.int64),
-            "queue_ok": queue_ok2d,
-            "demand_met": demand_met3d.all(axis=1),
-            "violation": node_violations2d > 0,
-        }
-        self.node_columns: Dict[str, np.ndarray] = {
-            "state": state3d,
-            "frequency_hz": frequency3d,
-            "power_w": power3d,
-            "energy_j": energy3d,
-            "demand_uips": demand3d,
-            "capacity_uips": capacity3d,
-            "served_uips": served3d,
-            "qos_metric": qos_metric3d,
-            "qos_ok": qos_ok3d,
-            "demand_met": demand_met3d,
-            "violation": violation3d,
-        }
+        with obs.trace("batch.tails"):
+            if use_queueing:
+                tails2d = _batched_worst_tails(
+                    table, workload, serving3d, shares3d, idx3d
+                )
+                qos_limit = workload.qos_limit_seconds
+                queue_ok2d = np.isnan(tails2d) | (
+                    tails2d <= qos_limit + 1e-12
+                )
+            else:
+                tails2d = np.full((batch, steps), np.nan)
+                queue_ok2d = np.ones((batch, steps), dtype=bool)
+
+        with obs.trace("batch.reduce"):
+            demand3d = shares3d * nominal_capacity
+            frequency3d = np.where(
+                serving3d, table.frequencies_hz[idx3d], np.nan
+            )
+            power3d = np.where(
+                serving3d,
+                table.power_w[idx3d],
+                np.where(booting3d, table.power_w[0], off_power_w),
+            )
+            wake_energy = (
+                autoscaler.wake_energy_j if autoscaler is not None else 0.0
+            )
+            wake_extra3d = np.where(wake3d, wake_energy, 0.0)
+            step_seconds = np.array(
+                [trace.step_seconds for trace in self.traces], dtype=np.float64
+            )
+            energy3d = (
+                power3d * step_seconds[:, np.newaxis, np.newaxis]
+                + wake_extra3d
+            )
+            capacity3d = np.where(serving3d, table.capacity_uips[idx3d], 0.0)
+            served3d = np.where(
+                serving3d, np.minimum(demand3d, capacity3d), 0.0
+            )
+            qos_metric3d = np.where(serving3d, table.qos_metric[idx3d], np.nan)
+            qos_ok3d = np.where(serving3d, table.qos_ok[idx3d], True)
+            demand_met3d = np.where(
+                serving3d,
+                table.covers_capacity_uips[idx3d] >= demand3d,
+                demand3d <= 0.0,
+            )
+            violation3d = ~(qos_ok3d & demand_met3d)
+
+            serving_counts2d = serving3d.sum(axis=1)
+            booting_counts2d = booting3d.sum(axis=1)
+            node_violations2d = violation3d.sum(axis=1)
+
+            self.fleet_columns: Dict[str, np.ndarray] = {
+                "utilization": util2d,
+                "offered_uips": mass2d * nominal_capacity,
+                "served_uips": _batched_rowsum(served3d),
+                "total_power_w": _batched_rowsum(power3d),
+                "energy_j": _batched_rowsum(energy3d),
+                "tail_latency_s": tails2d,
+                "active_servers": (
+                    serving_counts2d + booting_counts2d
+                ).astype(np.int64),
+                "serving_servers": serving_counts2d.astype(np.int64),
+                "booting_servers": booting_counts2d.astype(np.int64),
+                "used_servers": (serving3d & (shares3d > 0.0))
+                .sum(axis=1)
+                .astype(np.int64),
+                "wake_events": wake3d.sum(axis=1).astype(np.int64),
+                "node_violations": node_violations2d.astype(np.int64),
+                "queue_ok": queue_ok2d,
+                "demand_met": demand_met3d.all(axis=1),
+                "violation": node_violations2d > 0,
+            }
+            self.node_columns: Dict[str, np.ndarray] = {
+                "state": state3d,
+                "frequency_hz": frequency3d,
+                "power_w": power3d,
+                "energy_j": energy3d,
+                "demand_uips": demand3d,
+                "capacity_uips": capacity3d,
+                "served_uips": served3d,
+                "qos_metric": qos_metric3d,
+                "qos_ok": qos_ok3d,
+                "demand_met": demand_met3d,
+                "violation": violation3d,
+            }
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -877,6 +987,10 @@ class FleetReplayBatch:
 
     def summaries(self) -> List[Dict[str, object]]:
         """Per-replay scalar summaries, bit-equal to FleetResult's."""
+        with obs.trace("batch.reduce"):
+            return self._reduce_summaries()
+
+    def _reduce_summaries(self) -> List[Dict[str, object]]:
         instructions = self.workload.instructions_per_request
         columns = self.fleet_columns
         out: List[Optional[Dict[str, object]]] = [None] * len(self.traces)
@@ -1246,6 +1360,7 @@ class BatchReplayRunner:
                 # even there).
                 self._degrade_group(specs, positions, placements)
                 continue
+            obs.count("batch.groups")
             for row, position in enumerate(positions):
                 placements[position] = ("batch", batch, row)
         for key, positions in fleet_groups.items():
@@ -1283,6 +1398,7 @@ class BatchReplayRunner:
                     raise
                 self._degrade_group(specs, positions, placements)
                 continue
+            obs.count("batch.groups")
             for row, position in enumerate(positions):
                 placements[position] = ("batch", batch, row)
         return BatchReplayResult(specs, placements)

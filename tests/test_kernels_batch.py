@@ -13,6 +13,10 @@ calls (and, via the simulators, the object-based reference path):
   included);
 * hypothesis-sampled batch shapes: random row counts, random lengths,
   mixed governors in one batch;
+* hundreds-of-steps fleet replays under every routing and autoscaler
+  edge case (instant, slow and never-finishing wakes, a floor equal to
+  the fleet, a narrow band, events at the first and last steps), so
+  the event-driven autoscaler timeline actually jumps;
 * specs whose policy types have no kernel fall back to the per-replay
   simulator path inside the same batch.
 """
@@ -24,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.dvfs import GOVERNORS, GovernorSimulator, LoadTrace
 from repro.dvfs.governors import PerformanceGovernor, governor_by_name
 from repro.fleet import ROUTERS, Autoscaler, FleetSimulator
@@ -34,6 +39,7 @@ from repro.kernels import (
     fleet_replay_columns,
     governor_replay_columns,
 )
+from repro.resilience import SpecError
 from repro.workloads.banking_vm import VMS_LOW_MEM
 from repro.workloads.cloudsuite import WEB_SEARCH
 
@@ -207,6 +213,137 @@ def test_batched_fleet_summaries_match_simulator(routing, default_context):
         assert summaries[index] == simulator.run(trace, routing).summary()
 
 
+# -- long traces: the event-driven timeline's jumps -------------------------------------
+
+# The batched autoscaler timeline runs its one-step body only at event
+# steps and jumps over quiet stretches.  Short traces never leave a
+# stretch long enough to jump, so these replays are hundreds of steps:
+# piecewise-constant plateaus (long quiet runs between sharp scale
+# events), phase-shifted diurnal curves (rows whose events interleave)
+# and a trace whose load jumps right after the first step and again at
+# the last one.  Rows differ in length, so the padded tail of a short
+# row (zero load) adds park events of its own.
+
+LONG_FLEET = 4
+
+
+def _piecewise(levels, run, name):
+    return make_trace(np.repeat(levels, run).tolist(), name=name)
+
+
+def _long_traces():
+    edges = [0.1] + [0.9] * 248 + [0.1]
+    return [
+        _piecewise([0.2, 0.7, 0.05, 1.0, 0.4, 0.0, 0.6], 60, "plateaus"),
+        LoadTrace.diurnal(steps=576, step_seconds=300.0, periods=2.0),
+        LoadTrace.diurnal(
+            steps=333, step_seconds=300.0, periods=3.0, seed=7, name="d3"
+        ),
+        make_trace(edges, name="edges"),
+        _piecewise([0.9, 0.1], 100, "step-down"),
+    ]
+
+
+LONG_AUTOSCALERS = {
+    "wake0": Autoscaler(wake_steps=0),
+    "wake1": Autoscaler(wake_steps=1),
+    "wake3": Autoscaler(wake_steps=3),
+    "wake_beyond_trace": Autoscaler(wake_steps=1000),
+    "min_is_fleet": Autoscaler(min_servers=LONG_FLEET),
+    "narrow_band": Autoscaler(low=0.5, high=0.52, wake_steps=2),
+}
+
+
+@pytest.mark.parametrize("routing", sorted(ROUTERS))
+@pytest.mark.parametrize("scaler", sorted(LONG_AUTOSCALERS))
+def test_long_trace_fleet_batch_matches_kernel_and_reference(
+    routing, scaler, default_context
+):
+    """Every column and summary survives the timeline's jumps exactly."""
+    autoscaler = LONG_AUTOSCALERS[scaler]
+    traces = _long_traces()
+    specs = [
+        ReplaySpec(
+            workload=WEB_SEARCH,
+            trace=trace,
+            governor="conservative",
+            fleet_size=LONG_FLEET,
+            routing=routing,
+            autoscaler=autoscaler,
+            off_power_w=2.0,
+        )
+        for trace in traces
+    ]
+    result = BatchReplayRunner(default_context).run(specs)
+    assert result.batched_count == len(traces)
+    summaries = result.summaries()
+    table = default_context.frequency_table(WEB_SEARCH)
+    simulator = FleetSimulator(
+        default_context,
+        WEB_SEARCH,
+        fleet_size=LONG_FLEET,
+        governor="conservative",
+        autoscaler=autoscaler,
+        off_power_w=2.0,
+    )
+    for row, trace in enumerate(traces):
+        label = f"{routing}/{scaler}/{trace.name}"
+        fleet_ref, node_ref = fleet_replay_columns(
+            table,
+            WEB_SEARCH,
+            LONG_FLEET,
+            governor_by_name("conservative"),
+            router_by_name(routing),
+            autoscaler,
+            2.0,
+            trace,
+            True,
+        )
+        replay = result.result(row)
+        got = {name: replay.column(name) for name in fleet_ref}
+        assert_columns_equal(got, fleet_ref, label)
+        for node, reference in node_ref.items():
+            got = {
+                name: replay.node_column(node, name) for name in reference
+            }
+            assert_columns_equal(got, reference, f"{label}/node{node}")
+        reference = simulator.run(trace, routing, reference=True)
+        assert summaries[row] == reference.summary(), label
+
+
+def test_long_traces_scale_at_the_edges_and_skip_most_steps(
+    default_context,
+):
+    """The fixtures above really jump, and really scale at the edges."""
+    traces = _long_traces()
+    specs = [
+        ReplaySpec(
+            workload=WEB_SEARCH,
+            trace=trace,
+            governor="ondemand",
+            fleet_size=LONG_FLEET,
+            routing="pack",
+            autoscaler=LONG_AUTOSCALERS["wake0"],
+        )
+        for trace in traces
+    ]
+    with obs.capture() as cap:
+        alone = BatchReplayRunner(default_context).run(specs[3:4])
+        BatchReplayRunner(default_context).run(specs)
+    active = alone.result(0).column("active_servers")
+    # The load jumps at step 1 and drops at the last step: both scale.
+    assert active[1] > active[0]
+    assert active[-1] < active[-2]
+    assert alone.result(0).column("wake_events")[1] > 0
+    # The lone edges replay runs exactly two one-step bodies: the wake
+    # at step 1 and the park at the last step.  The five-row batch runs
+    # one body per step on which any row's fleet can change (the padded
+    # tails of the short rows park too), still a small share of its
+    # 576 steps.
+    deltas = cap.counter_deltas()
+    assert deltas["batch.timeline_steps"] == 2 + 50
+
+
 # -- mixed batches, fallbacks and edge specs --------------------------------------------
 
 
@@ -306,6 +443,18 @@ def test_replay_spec_validation():
             fleet_size=0,
             routing="pack",
         )
+    # Floats (even integral ones) and bools used to reach NumPy and
+    # fail there with a bare TypeError; the spec boundary names them.
+    for size, kind in ((2.5, "float"), (3.0, "float"), (True, "bool")):
+        with pytest.raises(
+            SpecError, match=rf"fleet_size must be an int .*\({kind}\)"
+        ):
+            ReplaySpec(
+                workload=WEB_SEARCH,
+                trace=trace,
+                fleet_size=size,
+                routing="pack",
+            )
     with pytest.raises(ValueError, match="min_servers"):
         ReplaySpec(
             workload=WEB_SEARCH,

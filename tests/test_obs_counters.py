@@ -17,7 +17,7 @@ from repro import obs
 from repro.core.config import default_server
 from repro.dvfs import GovernorSimulator, LoadTrace
 from repro.dvfs.governors import PerformanceGovernor
-from repro.fleet import FleetSimulator
+from repro.fleet import Autoscaler, FleetSimulator
 from repro.kernels import BatchReplayRunner, ReplaySpec
 from repro.opt import PolicyConfig, PolicyTuner
 from repro.sweep.context import ModelContext
@@ -119,6 +119,72 @@ def test_all_kernel_batch_counts_no_fallbacks(default_context):
     deltas = cap.counter_deltas()
     assert deltas["batch.batched_replays"] == 3
     assert "batch.fallback_replays" not in deltas
+
+
+# -- work below batch.run ---------------------------------------------------------------
+
+
+def test_month_replay_pins_groups_and_timeline_steps(default_context):
+    """A month-long 8-node diurnal replay: exact group and step counts.
+
+    Two fleet routings share one autoscaler timeline (one cache miss,
+    one hit) beside a single-server replay, so three tensor groups run.
+    The timeline runs its one-step body only where a fleet's state can
+    change -- 564 of the month's 8,640 five-minute steps.
+    """
+    trace = LoadTrace.diurnal(
+        steps=30 * 288, step_seconds=300.0, periods=30.0, name="month"
+    )
+    specs = [
+        ReplaySpec(
+            workload=WEB_SEARCH,
+            trace=trace,
+            governor="ondemand",
+            fleet_size=8,
+            routing=routing,
+            autoscaler=Autoscaler(),
+        )
+        for routing in ("pack", "spread")
+    ]
+    specs.append(ReplaySpec(workload=WEB_SEARCH, trace=trace))
+    with obs.capture() as cap:
+        BatchReplayRunner(default_context).run(specs)
+    deltas = cap.counter_deltas()
+    assert deltas["batch.groups"] == 3
+    assert deltas["batch.timeline_cache_misses"] == 1
+    assert deltas["batch.timeline_cache_hits"] == 1
+    assert deltas["batch.timeline_steps"] == 564
+    assert deltas["batch.timeline_steps"] < len(trace) // 4
+
+
+def test_fleet_groups_record_spans_below_batch_run(default_context):
+    """Each fleet group splits into timeline/routing/selection/tails/reduce."""
+    trace = LoadTrace.bursty(steps=40, seed=2)
+    specs = [
+        ReplaySpec(
+            workload=WEB_SEARCH,
+            trace=trace,
+            governor="conservative",
+            fleet_size=3,
+            routing=routing,
+            autoscaler=Autoscaler(),
+        )
+        for routing in ("pack", "least_loaded")
+    ]
+    with obs.capture() as cap:
+        BatchReplayRunner(default_context).run(specs).summaries()
+    names = [span.name for span in cap.spans]
+    assert names.count("batch.timeline") == 2
+    # least_loaded routes inside its selection pass: no routing span.
+    assert names.count("batch.routing") == 1
+    assert names.count("batch.selection") == 2
+    assert names.count("batch.tails") == 2
+    # One reduce span per group build, one per group's summaries.
+    assert names.count("batch.reduce") == 4
+    (run,) = [s for s in cap.spans if s.name == "batch.run"]
+    for span in cap.spans:
+        if span.name in ("batch.timeline", "batch.routing"):
+            assert span.parent_id == run.span_id
 
 
 # -- replay paths ----------------------------------------------------------------------
