@@ -11,28 +11,38 @@ trace axis; this module adds the batch axis:
   pass; ``conservative`` walks the T axis once with all B rows
   advancing a notch per step in parallel
   (:func:`~repro.kernels.governors.select_batch_trace_indices`).
-* **Fleet stacks** -- B fleet replays sharing one (workload, fleet
-  size, governor, routing, autoscaler) configuration become
-  ``(B, N, T)`` tensors.  ``pack``'s sequential fill carries no state
-  from one step to the next, so it walks the N nodes in id order over
-  whole ``(B, T)`` arrays.  The autoscaler's power-state machine runs
+* **Fleet stacks** -- B fleet replays that share only (workload,
+  fleet size, queueing flag) become ``(B, N, T)`` tensors; governor,
+  routing, autoscaler and off-power are per-row data on the batch
+  axis, so a tuner rung that varies them runs as one group per fleet
+  size.  The autoscaler's power-state machine depends only on a row's
+  (trace, autoscaler) pair, so it runs once per distinct pair; it runs
   its one-step body only at steps where some fleet can change state (a
   node boots, or the load leaves the band with a new desired count)
   and jumps over the quiet stretches between them with a vectorized
   forward search, so its Python work grows with scaling events, not
-  trace length.  ``least_loaded``'s frequency-coupled weights and the
-  ``conservative`` governor stay step-sequential *within* a replay but
-  operate on ``(B, N)`` slices *across* the batch; queueing tails go
-  through the deduplicating closed-form
-  :func:`~repro.kernels.fleet.tail_latencies` kernel once for the
-  whole batch.
+  trace length.  Routing runs once per distinct routing on its rows;
+  ``pack``'s sequential fill carries no state from one step to the
+  next, so it walks the N nodes in id order over whole ``(B, T)``
+  arrays.  Memoryless governors select once per distinct governor over
+  their rows' serving cells.  ``least_loaded``'s frequency-coupled
+  weights and the ``conservative`` governor stay step-sequential
+  *within* a replay, so those rows advance together in one T loop of
+  ``(B, N)`` slices, each governor's step kernel on its own rows.
+  Queueing tails go through the deduplicating closed-form
+  :func:`~repro.kernels.fleet.tail_latencies` kernel once per chunk.
+  A group runs in chunks of at most ``_GROUP_CELLS`` (row, node, step)
+  cells, and a chunk keeps only compact per-cell tensors (power
+  states, wake events, grid indices, routed shares): a row's eleven
+  per-node columns are derived on demand.
 * **Summaries** -- per-replay scalar summaries are axis-1 reductions
   over exact-length row blocks (rows grouped by trace length, because
   reducing a zero-padded row would change pairwise-summation order and
   break bit parity).
 
 Everything is bit-for-bit identical to B independent single-replay
-kernel calls -- same floats, same ints, same NaN/inf placement -- which
+kernel calls -- every cell sees the same float operations in the same
+order, so the same floats, ints and NaN/inf placement -- which
 are themselves pinned against the object-based reference path, so the
 batch engine inherits the golden fixtures' guarantees transitively.
 
@@ -47,8 +57,10 @@ path, exactly like the single-replay dispatch.
 from __future__ import annotations
 
 import math
+import numbers
+import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -115,6 +127,23 @@ class ReplaySpec:
     disturbances: Optional[DisturbanceSchedule] = None
 
     def __post_init__(self) -> None:
+        # A string such as "no" would read as true; NumPy bools come
+        # from sweeps and are stored as plain bools.
+        if not isinstance(self.queueing, (bool, np.bool_)):
+            raise SpecError(
+                f"replay spec: queueing must be a bool, "
+                f"got {self.queueing!r} ({type(self.queueing).__name__})"
+            )
+        object.__setattr__(self, "queueing", bool(self.queueing))
+        # True would count as 1 W.
+        if isinstance(self.off_power_w, (bool, np.bool_)) or not isinstance(
+            self.off_power_w, numbers.Real
+        ):
+            raise SpecError(
+                f"replay spec: off_power_w must be a real number, "
+                f"got {self.off_power_w!r} "
+                f"({type(self.off_power_w).__name__})"
+            )
         if self.fleet_size is None:
             if self.routing is not None:
                 raise SpecError(
@@ -137,15 +166,17 @@ class ReplaySpec:
                     "single-server replays have no fleet to disturb"
                 )
             return
-        # A float or bool size would only fail deep inside NumPy.
-        if isinstance(self.fleet_size, bool) or not isinstance(
-            self.fleet_size, int
+        # A float or bool size would only fail deep inside NumPy; an
+        # integer from a NumPy sweep is stored as a plain int.
+        if isinstance(self.fleet_size, (bool, np.bool_)) or not isinstance(
+            self.fleet_size, numbers.Integral
         ):
             raise SpecError(
                 f"replay spec: fleet_size must be an int or None, "
                 f"got {self.fleet_size!r} "
                 f"({type(self.fleet_size).__name__})"
             )
+        object.__setattr__(self, "fleet_size", int(self.fleet_size))
         if self.fleet_size < 1:
             raise SpecError(
                 f"fleet_size must be >= 1, got {self.fleet_size}"
@@ -208,11 +239,16 @@ def unique_specs(
 
 
 def _padded_utilization(
-    traces: Sequence[LoadTrace],
+    traces: Sequence[LoadTrace], steps: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Stack trace utilisations into (B, T_max), zero-padded rows."""
+    """Stack trace utilisations into (B, steps), zero-padded rows.
+
+    ``steps`` defaults to the longest trace.
+    """
     lengths = np.array([len(trace) for trace in traces], dtype=np.int64)
-    util2d = np.zeros((len(traces), int(lengths.max())), dtype=np.float64)
+    if steps is None:
+        steps = int(lengths.max())
+    util2d = np.zeros((len(traces), steps), dtype=np.float64)
     for row, trace in enumerate(traces):
         util2d[row, : lengths[row]] = np.asarray(
             trace.utilization, dtype=np.float64
@@ -224,6 +260,33 @@ def _length_groups(lengths: np.ndarray):
     """Yield (length, row-index array) pairs, one per distinct length."""
     for length in np.unique(lengths):
         yield int(length), np.nonzero(lengths == length)[0]
+
+
+def _rows_by(values: Sequence) -> Dict[object, List[int]]:
+    """Row indices per distinct value, in first-seen order."""
+    rows: Dict[object, List[int]] = {}
+    for row, value in enumerate(values):
+        rows.setdefault(value, []).append(row)
+    return rows
+
+
+def _row_index(rows: List[int]) -> Union[slice, List[int]]:
+    """``rows`` as a slice when they form one ascending run.
+
+    Indexing with the slice takes views, where the row list would copy
+    the rows' tensors; the runner orders a chunk's rows so that the
+    rows of the step loop form such a run.
+    """
+    if rows == list(range(rows[0], rows[0] + len(rows))):
+        return slice(rows[0], rows[0] + len(rows))
+    return rows
+
+
+def _row_mask(batch: int, rows: List[int]) -> np.ndarray:
+    """A (batch,) mask that is True on ``rows``."""
+    mask = np.zeros(batch, dtype=bool)
+    mask[rows] = True
+    return mask
 
 
 # -- single-server batches --------------------------------------------------------------
@@ -274,6 +337,11 @@ class GovernorReplayBatch:
 
     def __len__(self) -> int:
         return len(self.traces)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the batch's retained tensors."""
+        return sum(tensor.nbytes for tensor in self.columns.values())
 
     def columns_for(self, row: int) -> Dict[str, np.ndarray]:
         """One replay's column dict (rows sliced to the trace length)."""
@@ -382,6 +450,18 @@ class GovernorReplayBatch:
 # Steps in the first forward-search window after an event; each quiet
 # window doubles the next one.
 _FIRST_WINDOW = 16
+
+# Cells (rows x fleet size x longest trace) in one fleet chunk: a
+# group's rows run in chunks of at most this many, so merging policies
+# into one group never grows the engine's working set.
+_GROUP_CELLS = 1 << 19
+
+# Bytes per (row, node, step) cell the engine may hold for one row,
+# rounded up: tracemalloc peaks of one-row builds over every governor x
+# routing x autoscaler trio are 51-78, and materializing the row's
+# per-node columns adds ~60 more.  Sizes the refusal of a row that
+# cannot fit.
+_CELL_BYTES = 128
 
 
 def _desired_active_batch(
@@ -574,6 +654,47 @@ def _batched_state_timeline(
     return state3d, wake3d
 
 
+def _row_timelines(
+    fleet_size: int,
+    traces: Sequence[LoadTrace],
+    autoscalers: Sequence[Optional[Autoscaler]],
+    steps: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's power-state timeline: ``(state3d, wake3d, index)``.
+
+    A timeline depends only on the row's (trace, autoscaler) pair --
+    never on governor, routing or off-power -- so it is computed once
+    per distinct pair: one :func:`_batched_state_timeline` call per
+    distinct autoscaler, over that autoscaler's distinct traces padded
+    to ``steps``.  Row ``b``'s timeline is ``state3d[index[b]]``.
+    ``batch.timeline_cache_misses`` counts the timelines computed and
+    ``batch.timeline_cache_hits`` the rows that reuse one.
+    """
+    pairs: Dict[tuple, int] = {}
+    index = np.array(
+        [
+            pairs.setdefault(pair, len(pairs))
+            for pair in zip(traces, autoscalers)
+        ],
+        dtype=np.int64,
+    )
+    unique = list(pairs)
+    state3d = np.empty((len(unique), fleet_size, steps), dtype=np.int8)
+    wake3d = np.empty((len(unique), fleet_size, steps), dtype=bool)
+    for autoscaler, members in _rows_by(
+        [autoscaler for _, autoscaler in unique]
+    ).items():
+        util2d, _ = _padded_utilization(
+            [unique[member][0] for member in members], steps
+        )
+        state3d[members], wake3d[members] = _batched_state_timeline(
+            util2d * fleet_size, fleet_size, autoscaler
+        )
+    obs.count("batch.timeline_cache_misses", len(unique))
+    obs.count("batch.timeline_cache_hits", len(index) - len(unique))
+    return state3d, wake3d, index
+
+
 def _batched_even_split(
     mass2d: np.ndarray, target3d: np.ndarray, valid2d: np.ndarray
 ) -> np.ndarray:
@@ -631,10 +752,32 @@ def _batched_pack_shares(
     return shares3d
 
 
+def _batched_shares(
+    routing: RoutingPolicy,
+    mass2d: np.ndarray,
+    serving3d: np.ndarray,
+    active3d: np.ndarray,
+    valid2d: np.ndarray,
+) -> np.ndarray:
+    """One stateless routing's (B, N, T) shares (not ``least_loaded``)."""
+    routing_type = type(routing)
+    if routing_type is RoundRobinRouting:
+        return _batched_even_split(mass2d, active3d, valid2d)
+    if routing_type is SpreadRouting:
+        serving_counts = serving3d.sum(axis=1)
+        target3d = np.where(
+            (serving_counts > 0)[:, np.newaxis, :], serving3d, active3d
+        )
+        return _batched_even_split(mass2d, target3d, valid2d)
+    return _batched_pack_shares(
+        routing, mass2d, serving3d, active3d, valid2d
+    )
+
+
 def _batched_sequential_selection(
     table: FrequencyTable,
-    governor: Governor,
-    least_loaded: bool,
+    governors: Sequence[Governor],
+    least_loaded: int,
     mass2d: np.ndarray,
     serving3d: np.ndarray,
     active3d: np.ndarray,
@@ -649,10 +792,24 @@ def _batched_sequential_selection(
     weights couple to the previous step's frequencies and the
     ``conservative`` governor to each node's own previous choice, so
     the T axis stays a loop -- but each step is (B, N) array math.
+    The first ``least_loaded`` rows route least-loaded inside the loop
+    (the other rows' shares are already routed); then each distinct
+    governor's step kernel runs on its own rows' serving cells.  Every
+    row sees the float operations of a batch of its policy alone.
     """
     batch, fleet_size, steps = serving3d.shape
     nominal_capacity = table.nominal_capacity_uips
     capacities = table.capacity_uips
+    kernels = [
+        (
+            governor,
+            None
+            if len(rows) == batch
+            else _row_mask(batch, rows)[:, np.newaxis],
+        )
+        for governor, rows in _rows_by(governors).items()
+    ]
+    loaded = slice(0, least_loaded)
     previous = np.full(
         (batch, fleet_size), table.nominal_index, dtype=np.int64
     )
@@ -661,21 +818,21 @@ def _batched_sequential_selection(
         if woken.any():
             previous[woken] = table.nominal_index
         if least_loaded:
-            serving = serving3d[:, :, step]
+            serving = serving3d[loaded, :, step]
             targets = np.where(
                 serving.any(axis=1)[:, np.newaxis],
                 serving,
-                active3d[:, :, step],
+                active3d[loaded, :, step],
             )
-            if np.any(~targets.any(axis=1) & valid2d[:, step]):
+            if np.any(~targets.any(axis=1) & valid2d[loaded, step]):
                 raise ValueError(fleet_kernel._NO_ACTIVE_NODE)
             weights = np.where(
-                targets, capacities[previous] / nominal_capacity, 0.0
+                targets, capacities[previous[loaded]] / nominal_capacity, 0.0
             )
             # Accumulate in ascending node order (adding the zero
             # weight of a non-target is float-exact), mirroring the
             # scalar loop's sequential addition.
-            total = np.zeros(batch, dtype=np.float64)
+            total = np.zeros(least_loaded, dtype=np.float64)
             for node in range(fleet_size):
                 total = total + weights[:, node]
             fallback = total <= 0.0
@@ -689,34 +846,26 @@ def _batched_sequential_selection(
                     np.maximum(counts, 1).astype(np.float64),
                     total,
                 )
-            shares3d[:, :, step] = np.where(
+            shares3d[loaded, :, step] = np.where(
                 targets,
-                mass2d[:, step][:, np.newaxis]
+                mass2d[loaded, step][:, np.newaxis]
                 * (weights / total[:, np.newaxis]),
                 0.0,
             )
         serving = serving3d[:, :, step]
-        if serving.any():
-            utilization = shares3d[:, :, step][serving]
-            chosen = select_step_indices(
-                governor,
-                table,
-                utilization,
-                utilization * nominal_capacity,
-                previous[serving],
-            )
-            idx3d[:, :, step][serving] = chosen
-            previous[serving] = chosen
-
-
-def _batched_rowsum(array3d: np.ndarray) -> np.ndarray:
-    """(B, N, T) -> (B, T) totals accumulated node by node, id order."""
-    total = np.zeros(
-        (array3d.shape[0], array3d.shape[2]), dtype=np.float64
-    )
-    for node in range(array3d.shape[1]):
-        total += array3d[:, node, :]
-    return total
+        for governor, mask in kernels:
+            cells = serving if mask is None else serving & mask
+            if cells.any():
+                utilization = shares3d[:, :, step][cells]
+                chosen = select_step_indices(
+                    governor,
+                    table,
+                    utilization,
+                    utilization * nominal_capacity,
+                    previous[cells],
+                )
+                idx3d[:, :, step][cells] = chosen
+                previous[cells] = chosen
 
 
 def _batched_worst_tails(
@@ -726,30 +875,96 @@ def _batched_worst_tails(
     shares3d: np.ndarray,
     idx3d: np.ndarray,
 ) -> np.ndarray:
-    """Per (replay, step): the worst loaded node's tail, NaN if none."""
+    """Per (replay, step): the worst loaded node's tail, NaN if none.
+
+    Tails are never -inf, so a step whose max is still -inf had no
+    loaded node with a defined (non-NaN) tail.
+    """
     loaded = serving3d & (shares3d > 0.0)
-    tail3d = np.full(shares3d.shape, np.nan, dtype=np.float64)
-    tail3d[loaded] = fleet_kernel.tail_latencies(
-        table,
-        workload,
-        idx3d[loaded],
-        shares3d[loaded] * table.nominal_capacity_uips,
+    demand = shares3d[loaded]
+    demand *= table.nominal_capacity_uips
+    tails = fleet_kernel.tail_latencies(
+        table, workload, idx3d[loaded], demand
     )
-    defined = ~np.isnan(tail3d)
-    candidates = np.where(defined, tail3d, -np.inf)
-    return np.where(
-        defined.any(axis=1), candidates.max(axis=1), np.nan
+    del demand
+    candidates = np.full(shares3d.shape, -np.inf, dtype=np.float64)
+    candidates[loaded] = np.where(np.isnan(tails), -np.inf, tails)
+    worst = candidates.max(axis=1)
+    return np.where(worst == -np.inf, np.nan, worst)
+
+
+def _node_columns(
+    table: FrequencyTable,
+    state: np.ndarray,
+    idx: np.ndarray,
+    shares: np.ndarray,
+    wake: np.ndarray,
+    off_power_w,
+    wake_energy_j,
+    step_seconds,
+) -> Dict[str, np.ndarray]:
+    """The eleven per-node columns, derived from the compact tensors.
+
+    ``state``/``idx``/``shares``/``wake`` share one shape and the three
+    per-row values broadcast against it, so the same elementwise
+    expressions serve one node of a whole batch (``(B, T)``, reduced
+    into fleet columns) and every node of one row (``(N, T)``,
+    :meth:`FleetReplayBatch.columns_for`).
+    """
+    serving = state == _SERVING
+    power = np.where(
+        serving,
+        table.power_w[idx],
+        np.where(state == _BOOTING, table.power_w[0], off_power_w),
     )
+    demand = shares * table.nominal_capacity_uips
+    capacity = np.where(serving, table.capacity_uips[idx], 0.0)
+    qos_ok = np.where(serving, table.qos_ok[idx], True)
+    demand_met = np.where(
+        serving,
+        table.covers_capacity_uips[idx] >= demand,
+        demand <= 0.0,
+    )
+    return {
+        "state": state,
+        "frequency_hz": np.where(serving, table.frequencies_hz[idx], np.nan),
+        "power_w": power,
+        "energy_j": power * step_seconds + np.where(wake, wake_energy_j, 0.0),
+        "demand_uips": demand,
+        "capacity_uips": capacity,
+        "served_uips": np.where(serving, np.minimum(demand, capacity), 0.0),
+        "qos_metric": np.where(serving, table.qos_metric[idx], np.nan),
+        "qos_ok": qos_ok,
+        "demand_met": demand_met,
+        "violation": ~(qos_ok & demand_met),
+    }
 
 
 class FleetReplayBatch:
-    """B fleet replays of one configuration stacked into (B, N, T).
+    """B fleet replays of one fleet size stacked into (B, N, T).
 
-    All replays share (table, workload, fleet size, governor, routing,
-    autoscaler, off-power, queueing flag); only the traces differ --
-    the natural shape of a seed/trace sweep.  Row ``b``, sliced to its
-    trace length, is bit-identical to ``fleet_replay_columns`` on
-    ``traces[b]``.
+    The rows share only (table, workload, fleet size, queueing flag).
+    Governor, routing, autoscaler and off-power are per-row data on the
+    batch axis:
+
+    * ``timeline`` is the rows' ``(state3d, wake3d)`` power states and
+      wake events, resolved by :func:`_row_timelines` once per distinct
+      (trace, autoscaler) pair -- the runner resolves a whole group's
+      once for all of its chunks;
+    * routing runs once per distinct routing, on that routing's rows;
+    * rows that carry no state between steps (a memoryless governor
+      under any routing but ``least_loaded``) select once per distinct
+      governor, over their rows' serving cells;
+    * rows that do (``conservative`` rows and every ``least_loaded``
+      row) advance together in one step loop, each governor's step
+      kernel on its own rows.
+
+    The batch keeps only compact per-cell tensors -- power states
+    (int8), wake events (bool), grid indices and routed shares -- plus
+    the (B, T) fleet columns, reduced one node at a time;
+    :meth:`columns_for` derives a row's eleven per-node columns on
+    demand.  Row ``b``, sliced to its trace length, is bit-identical to
+    ``fleet_replay_columns`` on row ``b``'s own policies and trace.
     """
 
     def __init__(
@@ -757,21 +972,21 @@ class FleetReplayBatch:
         table: FrequencyTable,
         workload: WorkloadCharacteristics,
         fleet_size: int,
-        governor: Governor,
-        routing: RoutingPolicy,
-        autoscaler: Optional[Autoscaler],
-        off_power_w: float,
         traces: Sequence[LoadTrace],
+        governors: Sequence[Governor],
+        routings: Sequence[RoutingPolicy],
+        autoscalers: Sequence[Optional[Autoscaler]],
+        off_power_w: Sequence[float],
         use_queueing: bool,
-        timeline_cache: Optional[dict] = None,
+        timeline: Tuple[np.ndarray, np.ndarray],
     ):
         self.table = table
         self.workload = workload
         self.fleet_size = fleet_size
-        self.governor = governor
-        self.routing = routing
-        self.autoscaler = autoscaler
         self.traces = list(traces)
+        self.governors = list(governors)
+        self.routings = list(routings)
+        self.autoscalers = list(autoscalers)
         util2d, self.lengths = _padded_utilization(self.traces)
         batch, steps = util2d.shape
         mass2d = util2d * fleet_size
@@ -780,88 +995,98 @@ class FleetReplayBatch:
             < self.lengths[:, np.newaxis]
         )
         nominal_capacity = table.nominal_capacity_uips
-
-        # The power-state timeline depends only on (traces, fleet size,
-        # autoscaler) -- never on governor or routing -- so a runner
-        # sweeping governors over one trace set shares it across its
-        # groups.  The arrays are read-only downstream (every consumer
-        # derives new arrays), so sharing is safe.
-        with obs.trace("batch.timeline"):
-            if timeline_cache is not None:
-                key = (tuple(self.traces), fleet_size, autoscaler)
-                cached = timeline_cache.get(key)
-                if cached is None:
-                    obs.count("batch.timeline_cache_misses")
-                    cached = _batched_state_timeline(
-                        mass2d, fleet_size, autoscaler
-                    )
-                    timeline_cache[key] = cached
-                else:
-                    obs.count("batch.timeline_cache_hits")
-                state3d, wake3d = cached
-            else:
-                state3d, wake3d = _batched_state_timeline(
-                    mass2d, fleet_size, autoscaler
-                )
-            serving3d = state3d == _SERVING
-            booting3d = state3d == _BOOTING
-            active3d = serving3d | booting3d
-
-        idx3d = np.full(
-            (batch, fleet_size, steps), table.nominal_index, dtype=np.int64
+        self.off_power_w = np.array(off_power_w, dtype=np.float64)
+        self.wake_energy_j = np.array(
+            [
+                0.0 if autoscaler is None else autoscaler.wake_energy_j
+                for autoscaler in self.autoscalers
+            ],
+            dtype=np.float64,
         )
-        routing_type = type(routing)
-        if routing_type is LeastLoadedRouting:
-            # least_loaded's weights couple to the previous step's
-            # frequencies, so its routing runs inside the selection pass.
-            with obs.trace("batch.selection"):
-                shares3d = np.zeros(
-                    (batch, fleet_size, steps), dtype=np.float64
-                )
-                _batched_sequential_selection(
-                    table, governor, True, mass2d, serving3d, active3d,
-                    wake3d, shares3d, idx3d, valid2d,
-                )
-        else:
+        self.step_seconds = np.array(
+            [trace.step_seconds for trace in self.traces], dtype=np.float64
+        )
+        self.state3d, self.wake3d = timeline
+        serving3d = self.state3d == _SERVING
+        active3d = serving3d | (self.state3d == _BOOTING)
+
+        # Grid indices in the narrowest dtype that holds them (one byte
+        # for grids of up to 256 points).
+        self.idx3d = np.full(
+            (batch, fleet_size, steps),
+            table.nominal_index,
+            dtype=np.min_scalar_type(len(table) - 1),
+        )
+        self.shares3d = np.zeros((batch, fleet_size, steps), dtype=np.float64)
+        least_loaded: List[int] = []
+        conservative: List[int] = []
+        memoryless: Dict[Governor, List[int]] = {}
+        routed: Dict[RoutingPolicy, List[int]] = {}
+        for row, (governor, routing) in enumerate(
+            zip(self.governors, self.routings)
+        ):
+            if type(routing) is LeastLoadedRouting:
+                # least_loaded's weights couple to the previous step's
+                # frequencies, so its routing runs inside the step loop.
+                least_loaded.append(row)
+                continue
+            routed.setdefault(routing, []).append(row)
+            if is_memoryless_kernel(governor):
+                memoryless.setdefault(governor, []).append(row)
+            else:
+                conservative.append(row)
+        if routed:
             with obs.trace("batch.routing"):
-                if routing_type is RoundRobinRouting:
-                    shares3d = _batched_even_split(
-                        mass2d, active3d, valid2d
+                for routing, rows in routed.items():
+                    index = _row_index(rows)
+                    self.shares3d[index] = _batched_shares(
+                        routing,
+                        mass2d[index],
+                        serving3d[index],
+                        active3d[index],
+                        valid2d[index],
                     )
-                elif routing_type is SpreadRouting:
-                    serving_counts = serving3d.sum(axis=1)
-                    target3d = np.where(
-                        (serving_counts > 0)[:, np.newaxis, :],
-                        serving3d,
-                        active3d,
-                    )
-                    shares3d = _batched_even_split(
-                        mass2d, target3d, valid2d
-                    )
-                else:  # PackRouting
-                    shares3d = _batched_pack_shares(
-                        routing, mass2d, serving3d, active3d, valid2d
-                    )
-            with obs.trace("batch.selection"):
-                if is_memoryless_kernel(governor):
-                    chosen = select_step_indices(
-                        governor,
-                        table,
-                        shares3d[serving3d],
-                        shares3d[serving3d] * nominal_capacity,
-                        idx3d[serving3d],
-                    )
-                    idx3d[serving3d] = chosen
-                else:
-                    _batched_sequential_selection(
-                        table, governor, False, mass2d, serving3d,
-                        active3d, wake3d, shares3d, idx3d, valid2d,
-                    )
+        with obs.trace("batch.selection"):
+            for governor, rows in memoryless.items():
+                cells = serving3d
+                if len(rows) < batch:
+                    cells = cells & _row_mask(batch, rows)[
+                        :, np.newaxis, np.newaxis
+                    ]
+                utilization = self.shares3d[cells]
+                self.idx3d[cells] = select_step_indices(
+                    governor,
+                    table,
+                    utilization,
+                    utilization * nominal_capacity,
+                    self.idx3d[cells],
+                )
+            stepped = least_loaded + conservative
+            if stepped:
+                index = _row_index(stepped)
+                shares = self.shares3d[index]
+                idx = self.idx3d[index]
+                _batched_sequential_selection(
+                    table,
+                    [self.governors[row] for row in stepped],
+                    len(least_loaded),
+                    mass2d[index],
+                    serving3d[index],
+                    active3d[index],
+                    self.wake3d[index],
+                    shares,
+                    idx,
+                    valid2d[index],
+                )
+                if not isinstance(index, slice):
+                    # A gathered copy: scatter the results back.
+                    self.shares3d[index] = shares
+                    self.idx3d[index] = idx
 
         with obs.trace("batch.tails"):
             if use_queueing:
                 tails2d = _batched_worst_tails(
-                    table, workload, serving3d, shares3d, idx3d
+                    table, workload, serving3d, self.shares3d, self.idx3d
                 )
                 qos_limit = workload.qos_limit_seconds
                 queue_ok2d = np.isnan(tails2d) | (
@@ -872,80 +1097,73 @@ class FleetReplayBatch:
                 queue_ok2d = np.ones((batch, steps), dtype=bool)
 
         with obs.trace("batch.reduce"):
-            demand3d = shares3d * nominal_capacity
-            frequency3d = np.where(
-                serving3d, table.frequencies_hz[idx3d], np.nan
+            # One node at a time, in id order: the sums accumulate in
+            # the reference loop's float-addition order, and only one
+            # node's (B, T) columns are alive at once.
+            served2d = np.zeros((batch, steps), dtype=np.float64)
+            power2d = np.zeros((batch, steps), dtype=np.float64)
+            energy2d = np.zeros((batch, steps), dtype=np.float64)
+            demand_met2d = np.ones((batch, steps), dtype=bool)
+            # Per-step node counts in the narrowest dtype that holds
+            # the fleet size; columns_for widens them to int64.
+            count = np.min_scalar_type(fleet_size)
+            node_violations2d = np.zeros((batch, steps), dtype=count)
+            for node in range(fleet_size):
+                node_columns = _node_columns(
+                    table,
+                    self.state3d[:, node],
+                    self.idx3d[:, node],
+                    self.shares3d[:, node],
+                    self.wake3d[:, node],
+                    self.off_power_w[:, np.newaxis],
+                    self.wake_energy_j[:, np.newaxis],
+                    self.step_seconds[:, np.newaxis],
+                )
+                served2d += node_columns["served_uips"]
+                power2d += node_columns["power_w"]
+                energy2d += node_columns["energy_j"]
+                demand_met2d &= node_columns["demand_met"]
+                node_violations2d += node_columns["violation"]
+            serving_counts2d = serving3d.sum(axis=1, dtype=count)
+            booting_counts2d = (self.state3d == _BOOTING).sum(
+                axis=1, dtype=count
             )
-            power3d = np.where(
-                serving3d,
-                table.power_w[idx3d],
-                np.where(booting3d, table.power_w[0], off_power_w),
-            )
-            wake_energy = (
-                autoscaler.wake_energy_j if autoscaler is not None else 0.0
-            )
-            wake_extra3d = np.where(wake3d, wake_energy, 0.0)
-            step_seconds = np.array(
-                [trace.step_seconds for trace in self.traces], dtype=np.float64
-            )
-            energy3d = (
-                power3d * step_seconds[:, np.newaxis, np.newaxis]
-                + wake_extra3d
-            )
-            capacity3d = np.where(serving3d, table.capacity_uips[idx3d], 0.0)
-            served3d = np.where(
-                serving3d, np.minimum(demand3d, capacity3d), 0.0
-            )
-            qos_metric3d = np.where(serving3d, table.qos_metric[idx3d], np.nan)
-            qos_ok3d = np.where(serving3d, table.qos_ok[idx3d], True)
-            demand_met3d = np.where(
-                serving3d,
-                table.covers_capacity_uips[idx3d] >= demand3d,
-                demand3d <= 0.0,
-            )
-            violation3d = ~(qos_ok3d & demand_met3d)
-
-            serving_counts2d = serving3d.sum(axis=1)
-            booting_counts2d = booting3d.sum(axis=1)
-            node_violations2d = violation3d.sum(axis=1)
-
             self.fleet_columns: Dict[str, np.ndarray] = {
                 "utilization": util2d,
                 "offered_uips": mass2d * nominal_capacity,
-                "served_uips": _batched_rowsum(served3d),
-                "total_power_w": _batched_rowsum(power3d),
-                "energy_j": _batched_rowsum(energy3d),
+                "served_uips": served2d,
+                "total_power_w": power2d,
+                "energy_j": energy2d,
                 "tail_latency_s": tails2d,
-                "active_servers": (
-                    serving_counts2d + booting_counts2d
-                ).astype(np.int64),
-                "serving_servers": serving_counts2d.astype(np.int64),
-                "booting_servers": booting_counts2d.astype(np.int64),
-                "used_servers": (serving3d & (shares3d > 0.0))
-                .sum(axis=1)
-                .astype(np.int64),
-                "wake_events": wake3d.sum(axis=1).astype(np.int64),
-                "node_violations": node_violations2d.astype(np.int64),
+                "active_servers": serving_counts2d + booting_counts2d,
+                "serving_servers": serving_counts2d,
+                "booting_servers": booting_counts2d,
+                "used_servers": (serving3d & (self.shares3d > 0.0)).sum(
+                    axis=1, dtype=count
+                ),
+                "wake_events": self.wake3d.sum(axis=1, dtype=count),
+                "node_violations": node_violations2d,
                 "queue_ok": queue_ok2d,
-                "demand_met": demand_met3d.all(axis=1),
+                "demand_met": demand_met2d,
                 "violation": node_violations2d > 0,
-            }
-            self.node_columns: Dict[str, np.ndarray] = {
-                "state": state3d,
-                "frequency_hz": frequency3d,
-                "power_w": power3d,
-                "energy_j": energy3d,
-                "demand_uips": demand3d,
-                "capacity_uips": capacity3d,
-                "served_uips": served3d,
-                "qos_metric": qos_metric3d,
-                "qos_ok": qos_ok3d,
-                "demand_met": demand_met3d,
-                "violation": violation3d,
             }
 
     def __len__(self) -> int:
         return len(self.traces)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the batch's retained tensors."""
+        return sum(
+            array.nbytes
+            for array in (
+                self.state3d,
+                self.idx3d,
+                self.shares3d,
+                self.wake3d,
+                *self.fleet_columns.values(),
+            )
+        )
 
     def columns_for(
         self, row: int
@@ -958,12 +1176,22 @@ class FleetReplayBatch:
             "time_s": trace.times(),
         }
         for name, tensor in self.fleet_columns.items():
-            fleet[name] = tensor[row, :length]
+            column = tensor[row, :length]
+            fleet[name] = (
+                column.astype(np.int64) if column.dtype.kind == "u" else column
+            )
+        node_columns = _node_columns(
+            self.table,
+            self.state3d[row, :, :length],
+            self.idx3d[row, :, :length],
+            self.shares3d[row, :, :length],
+            self.wake3d[row, :, :length],
+            self.off_power_w[row],
+            self.wake_energy_j[row],
+            self.step_seconds[row],
+        )
         nodes = {
-            node: {
-                name: tensor[row, node, :length]
-                for name, tensor in self.node_columns.items()
-            }
+            node: {name: column[node] for name, column in node_columns.items()}
             for node in range(self.fleet_size)
         }
         return fleet, nodes
@@ -973,14 +1201,14 @@ class FleetReplayBatch:
         trace = self.traces[row]
         fleet, nodes = self.columns_for(row)
         return FleetResult(
-            routing_name=self.routing.name,
-            governor_name=self.governor.name,
+            routing_name=self.routings[row].name,
+            governor_name=self.governors[row].name,
             workload_name=self.workload.name,
             trace_name=trace.name,
             fleet_size=self.fleet_size,
             step_seconds=trace.step_seconds,
             instructions_per_request=self.workload.instructions_per_request,
-            autoscaled=self.autoscaler is not None,
+            autoscaled=self.autoscalers[row] is not None,
             columns=fleet,
             node_columns=nodes,
         )
@@ -1027,12 +1255,12 @@ class FleetReplayBatch:
                 duration = trace.step_seconds * length
                 violation_count = int(violations[position])
                 out[row] = {
-                    "routing": self.routing.name,
-                    "governor": self.governor.name,
+                    "routing": self.routings[row].name,
+                    "governor": self.governors[row].name,
                     "workload": self.workload.name,
                     "trace": trace.name,
                     "fleet_size": self.fleet_size,
-                    "autoscaled": self.autoscaler is not None,
+                    "autoscaled": self.autoscalers[row] is not None,
                     "steps": length,
                     "step_seconds": trace.step_seconds,
                     "total_energy_j": total_energy,
@@ -1099,6 +1327,71 @@ def _quarantined_placement(
     """A ``"failed"`` placement capturing one isolated replay fault."""
     fault = classify(error, identity=_spec_identity(position, spec))
     return ("failed", FailedSummary.from_fault(fault), fault)
+
+
+def _step_order(governor: Governor, routing: RoutingPolicy) -> int:
+    """Where a policy's rows go in a chunk: the step loop's rows first.
+
+    ``least_loaded`` rows (0), then the other carried-state rows (1),
+    then the memoryless rows (2); so the step loop's rows form one run
+    with its ``least_loaded`` rows leading, as
+    :func:`_batched_sequential_selection` wants them.
+    """
+    if type(routing) is LeastLoadedRouting:
+        return 0
+    return 2 if is_memoryless_kernel(governor) else 1
+
+
+def _chunks(lengths: Sequence[int], fleet_size: int) -> Iterator[List[int]]:
+    """Cut rows, in order, into chunks of at most :data:`_GROUP_CELLS`.
+
+    A chunk's cells are its rows x ``fleet_size`` x its longest trace;
+    every chunk holds at least one row, so a row larger than the budget
+    runs alone.
+    """
+    chunk: List[int] = []
+    longest = 0
+    for row, length in enumerate(lengths):
+        grown = max(longest, length)
+        if chunk and (len(chunk) + 1) * fleet_size * grown > _GROUP_CELLS:
+            yield chunk
+            chunk, grown = [], length
+        chunk.append(row)
+        longest = grown
+    if chunk:
+        yield chunk
+
+
+def _place(batch, positions: List[int], placements: List[Optional[tuple]]):
+    """Record ``batch``'s rows at their submission positions."""
+    obs.count("batch.groups")
+    obs.count("batch.group_rows", len(positions))
+    for row, position in enumerate(positions):
+        placements[position] = ("batch", batch, row)
+    return batch
+
+
+def _physical_memory_bytes() -> Optional[int]:
+    """The machine's physical memory, or None where it cannot be read."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _check_row_fits(
+    position: int, spec: ReplaySpec, limit: Optional[int]
+) -> None:
+    """Refuse a fleet row whose tensors alone would exceed ``limit``."""
+    steps = len(spec.trace)
+    estimate = spec.fleet_size * steps * _CELL_BYTES
+    if limit is not None and estimate > limit:
+        raise SpecError(
+            f"{_spec_identity(position, spec)}: one fleet row of "
+            f"{spec.fleet_size} nodes x {steps} steps needs about "
+            f"{estimate} bytes ({_CELL_BYTES} per node-step), more than "
+            f"the {limit} bytes of physical memory"
+        )
 
 
 class BatchReplayResult:
@@ -1206,11 +1499,16 @@ class BatchReplayResult:
 class BatchReplayRunner:
     """Spec list in, columnar per-replay summaries out.
 
-    Groups the specs by shared (workload, governor, routing,
-    autoscaler, fleet) configuration, runs each group as one tensor
-    batch, and falls back to the per-replay simulator path for specs
-    whose exact policy types have no kernel (custom subclasses) --
-    the same dispatch rule the single-replay simulators apply.
+    Groups single-server specs by (workload, governor) and fleet specs
+    by (workload, fleet size, queueing) -- a fleet's governor, routing,
+    autoscaler and off-power are per-row data -- and runs each group
+    as tensor batches: a fleet group in chunks of at most
+    ``_GROUP_CELLS`` cells, with equal policies side by side.  Specs
+    whose exact policy types have no kernel (custom subclasses) fall
+    back to the per-replay simulator path -- the same dispatch rule the
+    single-replay simulators apply.  A fleet row whose tensors alone
+    would exceed physical memory is refused with a
+    :class:`~repro.resilience.SpecError` before anything is built.
 
     ``on_error="raise"`` (the default) fails the whole run on the
     first bad spec, exactly as before.  ``on_error="quarantine"``
@@ -1285,10 +1583,10 @@ class BatchReplayRunner:
         # hook is measurable on large batches; skip the per-spec
         # fault_point entirely unless a plan is installed.
         chaos_armed = active_plan() is not None
+        memory_limit = _physical_memory_bytes()
         placements: List[Optional[tuple]] = [None] * len(specs)
         single_groups: Dict[tuple, List[int]] = {}
-        fleet_groups: Dict[tuple, List[int]] = {}
-        timeline_cache: dict = {}
+        fleet_groups: Dict[tuple, List[tuple]] = {}
         for position, spec in enumerate(specs):
             try:
                 if chaos_armed:
@@ -1298,6 +1596,7 @@ class BatchReplayRunner:
                     )
                 governor = self._resolve_governor(spec.governor)
                 if spec.is_fleet:
+                    _check_row_fits(position, spec, memory_limit)
                     routing = self._resolve_routing(spec.routing)
                     # Disturbance schedules stay per-replay: the batched
                     # (B, N, T) state machine has no event timeline, so
@@ -1309,14 +1608,12 @@ class BatchReplayRunner:
                     ):
                         key = (
                             spec.workload,
-                            governor,
-                            routing,
-                            spec.autoscaler,
                             spec.fleet_size,
-                            spec.off_power_w,
                             self._use_queueing(spec),
                         )
-                        fleet_groups.setdefault(key, []).append(position)
+                        fleet_groups.setdefault(key, []).append(
+                            (position, governor, routing)
+                        )
                     else:
                         placements[position] = (
                             "object",
@@ -1339,6 +1636,7 @@ class BatchReplayRunner:
                 placements[position] = _quarantined_placement(
                     position, specs[position], error
                 )
+        batches = []
         for (workload, governor), positions in single_groups.items():
             try:
                 fault_point(
@@ -1360,48 +1658,114 @@ class BatchReplayRunner:
                 # even there).
                 self._degrade_group(specs, positions, placements)
                 continue
-            obs.count("batch.groups")
-            for row, position in enumerate(positions):
-                placements[position] = ("batch", batch, row)
-        for key, positions in fleet_groups.items():
-            (
-                workload,
-                governor,
-                routing,
-                autoscaler,
-                fleet_size,
-                off_power_w,
-                use_queueing,
-            ) = key
+            batches.append(_place(batch, positions, placements))
+        for (workload, fleet_size, use_queueing), members in (
+            fleet_groups.items()
+        ):
+            batches.extend(
+                self._run_fleet_group(
+                    specs,
+                    workload,
+                    fleet_size,
+                    use_queueing,
+                    members,
+                    placements,
+                )
+            )
+        if batches and obs.is_enabled():
+            # A high-water mark: a report spanning several runs keeps
+            # the largest batch any of them built.
+            obs.gauge(
+                "batch.peak_group_bytes",
+                max(
+                    obs.counters_snapshot().get("batch.peak_group_bytes", 0),
+                    *(batch.nbytes for batch in batches),
+                ),
+            )
+        return BatchReplayResult(specs, placements)
+
+    def _run_fleet_group(
+        self,
+        specs: List[ReplaySpec],
+        workload: WorkloadCharacteristics,
+        fleet_size: int,
+        use_queueing: bool,
+        members: List[tuple],
+        placements: List[Optional[tuple]],
+    ) -> List["FleetReplayBatch"]:
+        """One (workload, fleet size, queueing) group, chunk by chunk.
+
+        ``members`` are ``(position, governor, routing)`` triples.
+        Equal policies are put side by side before the rows are cut
+        into chunks of at most :data:`_GROUP_CELLS` cells, and the
+        group's power-state timelines are resolved once for all of its
+        chunks.  Returns the batches built.
+        """
+        quarantine = self.on_error == "quarantine"
+        policies: Dict[tuple, int] = {}
+        keyed = []
+        for member in members:
+            position, governor, routing = member
+            spec = specs[position]
+            policy = (governor, routing, spec.autoscaler, spec.off_power_w)
+            keyed.append(
+                (
+                    _step_order(governor, routing),
+                    policies.setdefault(policy, len(policies)),
+                    member,
+                )
+            )
+        keyed.sort(key=lambda item: item[:2])
+        members = [member for _, _, member in keyed]
+        traces = [specs[position].trace for position, _, _ in members]
+        autoscalers = [specs[position].autoscaler for position, _, _ in members]
+        lengths = [len(trace) for trace in traces]
+        try:
+            with obs.trace("batch.timeline"):
+                state3d, wake3d, index = _row_timelines(
+                    fleet_size, traces, autoscalers, max(lengths)
+                )
+        except Exception:
+            if not quarantine:
+                raise
+            self._degrade_group(
+                specs, [position for position, _, _ in members], placements
+            )
+            return []
+        batches = []
+        for rows in _chunks(lengths, fleet_size):
+            positions = [members[row][0] for row in rows]
+            steps = max(lengths[row] for row in rows)
             try:
                 fault_point(
                     "batch.group",
                     identity=(
-                        f"group ({workload.name}, {governor.name}, "
-                        f"fleet {fleet_size})"
+                        f"group ({workload.name}, fleet {fleet_size}, "
+                        f"rows {rows[0]}-{rows[-1]})"
                     ),
                 )
                 batch = FleetReplayBatch(
                     self._table(workload),
                     workload,
                     fleet_size,
-                    governor,
-                    routing,
-                    autoscaler,
-                    off_power_w,
-                    [specs[position].trace for position in positions],
+                    [traces[row] for row in rows],
+                    [members[row][1] for row in rows],
+                    [members[row][2] for row in rows],
+                    [autoscalers[row] for row in rows],
+                    [specs[position].off_power_w for position in positions],
                     use_queueing,
-                    timeline_cache=timeline_cache,
+                    timeline=(
+                        state3d[index[rows], :, :steps],
+                        wake3d[index[rows], :, :steps],
+                    ),
                 )
             except Exception:
                 if not quarantine:
                     raise
                 self._degrade_group(specs, positions, placements)
                 continue
-            obs.count("batch.groups")
-            for row, position in enumerate(positions):
-                placements[position] = ("batch", batch, row)
-        return BatchReplayResult(specs, placements)
+            batches.append(_place(batch, positions, placements))
+        return batches
 
     def _degrade_group(
         self,

@@ -28,7 +28,7 @@ Queueing tails are evaluated by :func:`tail_latencies`, a closed-form
 vectorized twin of the scalar
 :class:`~repro.latency.queueing.MM1Queue` / :class:`MG1Queue` math:
 the (grid index, demand) pairs of every loaded node-step are
-deduplicated with ``np.unique`` and each unique pair is solved once
+deduplicated with one lexicographic sort and each unique pair is solved once
 with the exact float expressions the scalar queue models use (the one
 ``math.log`` per unique pair included, because ``np.log`` is not
 bit-identical to ``math.log`` on every platform).
@@ -386,28 +386,40 @@ def tail_latencies(
     guards in the same order (NaN base latency, non-positive capacity,
     saturation at ``1 - _STABILITY_EPSILON``), then the M/M/1 or
     Marchal-corrected M/G/1 percentile with the scalar models'
-    expressions term for term.  The pairs are deduplicated with
-    ``np.unique`` so each distinct operating point is solved once --
+    expressions term for term.  The pairs are deduplicated with one
+    ``np.lexsort`` so each distinct operating point is solved once --
     the vectorized replacement for the old per-simulator memo dict.
     The one transcendental term, ``log(rho / tail_probability)``, is
     evaluated with ``math.log`` per *unique* pair because ``np.log``
     is not bit-identical to ``math.log`` everywhere.
     """
-    indices = np.asarray(indices, dtype=np.int64)
+    # Any integer dtype serves as an index; a narrow one keeps the sort
+    # and its gathers small.
+    indices = np.asarray(indices)
     demand = np.asarray(demand_uips, dtype=np.float64)
     if indices.size == 0:
         return np.empty(0, dtype=np.float64)
-    # Injective (index, demand) -> complex encoding: a 1-D complex sort
-    # is far cheaper than np.unique(..., axis=0)'s void-dtype sort, and
-    # complex unique orders lexicographically (real, then imag), so the
-    # grouping is identical.  (+0.0/-0.0 demands would merge, but both
-    # produce bit-identical tails through every branch below.)
-    keys = indices.astype(np.float64) + 1j * demand
-    unique, inverse = np.unique(keys, return_inverse=True)
-    obs.count("fleet.tail_pairs", int(keys.size))
-    obs.count("fleet.tail_unique_pairs", int(unique.size))
-    grid = unique.real.astype(np.int64)
-    unique_demand = unique.imag
+    # Deduplicate the (index, demand) pairs: sort them by index, then
+    # demand, and mark each pair that differs from its predecessor.
+    # (+0.0/-0.0 demands merge, but both produce bit-identical tails
+    # through every branch below.)
+    order = np.lexsort((demand, indices))
+    sorted_grid = indices[order]
+    sorted_demand = demand[order]
+    first = np.empty(order.shape, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_grid[1:], sorted_grid[:-1], out=first[1:])
+    first[1:] |= sorted_demand[1:] != sorted_demand[:-1]
+    grid = sorted_grid[first]
+    unique_demand = sorted_demand[first]
+    del sorted_grid, sorted_demand
+    ranks = np.cumsum(first)
+    ranks -= 1
+    inverse = np.empty(ranks.shape, dtype=np.intp)
+    inverse[order] = ranks
+    del order, first, ranks
+    obs.count("fleet.tail_pairs", int(inverse.size))
+    obs.count("fleet.tail_unique_pairs", int(grid.size))
 
     base = table.latency_seconds[grid]
     capacity = table.capacity_uips[grid]
@@ -418,7 +430,7 @@ def tail_latencies(
     nan_base = np.isnan(base)
     stable = positive & (utilization < 1.0 - _STABILITY_EPSILON) & ~nan_base
 
-    out = np.full(len(unique), np.inf, dtype=np.float64)
+    out = np.full(len(grid), np.inf, dtype=np.float64)
     if np.any(stable):
         s_capacity = capacity[stable]
         s_demand = unique_demand[stable]

@@ -18,10 +18,16 @@ calls (and, via the simulators, the object-based reference path):
   the fleet, a narrow band, events at the first and last steps), so
   the event-driven autoscaler timeline actually jumps;
 * specs whose policy types have no kernel fall back to the per-replay
-  simulator path inside the same batch.
+  simulator path inside the same batch;
+* one submission mixing every governor x routing, the autoscaler edge
+  cases, two off-powers, two fleet sizes and ragged traces runs as one
+  group per fleet size and matches per-spec runs (and, on a sample,
+  the reference path) whole and cut into many chunks;
+* a row too large for memory is refused before anything is allocated.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +38,9 @@ from repro import obs
 from repro.dvfs import GOVERNORS, GovernorSimulator, LoadTrace
 from repro.dvfs.governors import PerformanceGovernor, governor_by_name
 from repro.fleet import ROUTERS, Autoscaler, FleetSimulator
+from repro.fleet.result import FLEET_COLUMNS, NODE_COLUMNS
 from repro.fleet.routing import RoundRobinRouting, router_by_name
+from repro.kernels import batch as batch_module
 from repro.kernels import (
     BatchReplayRunner,
     ReplaySpec,
@@ -465,6 +473,34 @@ def test_replay_spec_validation():
         )
     with pytest.raises(TypeError, match="ReplaySpec items"):
         BatchReplayRunner(None).run(["not a spec"])
+    # A size from a NumPy sweep is a size (stored as int); a queueing
+    # flag must be a bool (the string "no" is true); True is not 1 W.
+    spec = ReplaySpec(
+        workload=WEB_SEARCH,
+        trace=trace,
+        fleet_size=np.int64(2),
+        routing="pack",
+        queueing=np.bool_(True),
+    )
+    assert type(spec.fleet_size) is int and type(spec.queueing) is bool
+    assert spec == ReplaySpec(
+        workload=WEB_SEARCH, trace=trace, fleet_size=2, routing="pack"
+    )
+    with pytest.raises(SpecError, match=r"queueing must be a bool, .*\(str\)"):
+        ReplaySpec(
+            workload=WEB_SEARCH,
+            trace=trace,
+            fleet_size=2,
+            routing="pack",
+            queueing="no",
+        )
+    for fleet in ({}, {"fleet_size": 2, "routing": "pack"}):
+        with pytest.raises(
+            SpecError, match=r"off_power_w must be a real number, .*\(bool\)"
+        ):
+            ReplaySpec(
+                workload=WEB_SEARCH, trace=trace, off_power_w=True, **fleet
+            )
 
 
 def test_results_materialize_in_submission_order(default_context):
@@ -483,3 +519,155 @@ def test_results_materialize_in_submission_order(default_context):
     ]
     # summaries() is cached and stable across calls.
     assert result.summaries() == result.summaries()
+
+
+def test_row_that_cannot_fit_is_refused_before_allocating(default_context):
+    """A 10**9-node row fails at the spec boundary, not in NumPy."""
+    trace = LoadTrace.constant(steps=2)
+    fine = ReplaySpec(
+        workload=WEB_SEARCH, trace=trace, fleet_size=2, routing="pack"
+    )
+    huge = dataclasses.replace(fine, fleet_size=10**9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            SpecError,
+            match=r"replay 1 .*1000000000 nodes x 2 steps needs about "
+            r"\d+ bytes .*more than the \d+ bytes of physical memory",
+        ):
+            BatchReplayRunner(default_context).run([fine, huge])
+        result = BatchReplayRunner(
+            default_context, on_error="quarantine"
+        ).run([fine, huge, fine])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert result.quarantined_count == 1
+    assert [index for index, _ in result.quarantined()] == [1]
+    summaries = result.summaries()
+    alone = BatchReplayRunner(default_context).run([fine]).summaries()[0]
+    assert summaries[0] == alone and summaries[2] == alone
+
+
+# -- one group per fleet size: policy as per-row data -----------------------------------
+
+MIXED_AUTOSCALERS = (
+    None,
+    Autoscaler(),
+    Autoscaler(low=0.5, high=0.52, wake_steps=2),
+    Autoscaler(wake_steps=0),
+    Autoscaler(wake_steps=3),
+    Autoscaler(min_servers=3),
+)
+
+
+def _mixed_specs():
+    """Every governor x routing, the autoscaler edge cases, two fleet
+    sizes, two off-powers and ragged traces, in one submission."""
+    traces = [
+        make_trace([0.9], name="one-step"),
+        LoadTrace.bursty(steps=40, seed=4).head(29),
+        LoadTrace.diurnal(steps=150, step_seconds=300.0, periods=2.0),
+        _piecewise([0.1, 0.95, 0.0, 0.6], 25, "plateaus"),
+        make_trace([1.0] * 12 + [0.0] * 9, name="full-then-idle"),
+    ]
+    specs = []
+    for index, (governor, routing) in enumerate(
+        (governor, routing)
+        for governor in sorted(GOVERNORS)
+        for routing in sorted(ROUTERS)
+    ):
+        for shift, fleet_size in enumerate((3, 4)):
+            specs.append(
+                ReplaySpec(
+                    workload=WEB_SEARCH,
+                    trace=traces[(2 * index + shift) % len(traces)],
+                    governor=governor,
+                    fleet_size=fleet_size,
+                    routing=routing,
+                    autoscaler=MIXED_AUTOSCALERS[
+                        (index + shift) % len(MIXED_AUTOSCALERS)
+                    ],
+                    off_power_w=(0.0, 5.0)[(index + shift) % 2],
+                )
+            )
+    return specs
+
+
+def _assert_fleet_results_equal(got, ref, label):
+    assert got.summary() == ref.summary(), label
+    assert (got.routing_name, got.governor_name, got.autoscaled) == (
+        ref.routing_name,
+        ref.governor_name,
+        ref.autoscaled,
+    ), label
+    assert_columns_equal(
+        {name: got.column(name) for name in FLEET_COLUMNS},
+        {name: ref.column(name) for name in FLEET_COLUMNS},
+        label,
+    )
+    for node in range(ref.fleet_size):
+        assert_columns_equal(
+            {name: got.node_column(node, name) for name in NODE_COLUMNS},
+            {name: ref.node_column(node, name) for name in NODE_COLUMNS},
+            f"{label}/node{node}",
+        )
+
+
+def test_mixed_policy_batch_matches_per_spec_runs_and_reference(
+    default_context,
+):
+    """One run over mixed policies equals each spec run on its own."""
+    specs = _mixed_specs()
+    with obs.capture() as cap:
+        result = BatchReplayRunner(default_context).run(specs)
+    # One group per fleet size, whatever the policies.
+    assert cap.counter_deltas()["batch.groups"] == 2
+    assert result.batched_count == len(specs)
+    summaries = result.summaries()
+    for index, spec in enumerate(specs):
+        label = f"spec{index}"
+        alone = BatchReplayRunner(default_context).run([spec])
+        assert summaries[index] == alone.summaries()[0], label
+        _assert_fleet_results_equal(
+            result.result(index), alone.result(0), label
+        )
+        if index % 5 == 0:
+            reference = FleetSimulator(
+                default_context,
+                WEB_SEARCH,
+                fleet_size=spec.fleet_size,
+                governor=spec.governor,
+                autoscaler=spec.autoscaler,
+                off_power_w=spec.off_power_w,
+            ).run(spec.trace, spec.routing, reference=True)
+            _assert_fleet_results_equal(
+                result.result(index), reference, f"{label}/reference"
+            )
+
+
+def test_chunked_group_matches_the_unsplit_run(default_context, monkeypatch):
+    """Cutting a group into many chunks never changes a bit."""
+    specs = _mixed_specs()
+    # Rows that share a timeline but sort into other chunks.
+    specs += [
+        dataclasses.replace(spec, off_power_w=1.5) for spec in specs[::3]
+    ]
+    whole = BatchReplayRunner(default_context).run(specs)
+    monkeypatch.setattr(batch_module, "_GROUP_CELLS", 3 * 4 * 150)
+    with obs.capture() as cap:
+        chunked = BatchReplayRunner(default_context).run(specs)
+    deltas = cap.counter_deltas()
+    assert deltas["batch.groups"] > 2
+    assert deltas["batch.group_rows"] == len(specs)
+    # The groups' timelines are still resolved once for all chunks:
+    # one per distinct (fleet size, trace, autoscaler) triple.
+    distinct = {(s.fleet_size, s.trace, s.autoscaler) for s in specs}
+    assert deltas["batch.timeline_cache_misses"] == len(distinct)
+    assert deltas["batch.timeline_cache_hits"] == len(specs) - len(distinct)
+    assert chunked.summaries() == whole.summaries()
+    for index in range(len(specs)):
+        _assert_fleet_results_equal(
+            chunked.result(index), whole.result(index), f"spec{index}"
+        )

@@ -19,7 +19,7 @@ from repro.dvfs import GovernorSimulator, LoadTrace
 from repro.dvfs.governors import PerformanceGovernor
 from repro.fleet import Autoscaler, FleetSimulator
 from repro.kernels import BatchReplayRunner, ReplaySpec
-from repro.opt import PolicyConfig, PolicyTuner
+from repro.opt import GridSearch, ParamSpace, PolicyConfig, PolicyTuner
 from repro.sweep.context import ModelContext
 from repro.workloads.banking_vm import VMS_LOW_MEM
 from repro.workloads.cloudsuite import WEB_SEARCH
@@ -127,8 +127,10 @@ def test_all_kernel_batch_counts_no_fallbacks(default_context):
 def test_month_replay_pins_groups_and_timeline_steps(default_context):
     """A month-long 8-node diurnal replay: exact group and step counts.
 
-    Two fleet routings share one autoscaler timeline (one cache miss,
-    one hit) beside a single-server replay, so three tensor groups run.
+    Two fleet routings of one fleet size form one tensor group (policy
+    is per-row data) beside a single-server replay, so two groups run.
+    Their rows share one autoscaler timeline: one computed (a cache
+    miss), one reused (a hit).
     The timeline runs its one-step body only where a fleet's state can
     change -- 564 of the month's 8,640 five-minute steps.
     """
@@ -150,15 +152,51 @@ def test_month_replay_pins_groups_and_timeline_steps(default_context):
     with obs.capture() as cap:
         BatchReplayRunner(default_context).run(specs)
     deltas = cap.counter_deltas()
-    assert deltas["batch.groups"] == 3
+    assert deltas["batch.groups"] == 2
+    assert deltas["batch.group_rows"] == 3
     assert deltas["batch.timeline_cache_misses"] == 1
     assert deltas["batch.timeline_cache_hits"] == 1
     assert deltas["batch.timeline_steps"] == 564
     assert deltas["batch.timeline_steps"] < len(trace) // 4
+    # The fleet chunk retains 11 bytes per (row, node, step) cell --
+    # int8 states, bool wakes, uint8 grid indices, float64 shares --
+    # plus its (row, step) fleet columns: six float64, six one-byte
+    # node counts and three bool flags.
+    cells = 2 * 8 * len(trace)
+    assert deltas["batch.peak_group_bytes"] == (
+        11 * cells + 2 * len(trace) * (6 * 8 + 6 + 3)
+    )
+
+
+def test_tuner_rung_runs_one_group_per_fleet_size(default_context):
+    """Governor, routing and band vary per row, never per group."""
+    space = ParamSpace(
+        fleet_sizes=(5, 2, 3, 4),
+        governors=("qos_tracker", "conservative"),
+        routings=("pack", "least_loaded"),
+        bands=(None, (0.3, 0.7)),
+    )
+    trace = LoadTrace.diurnal(steps=48, step_seconds=1800.0)
+    with obs.capture() as cap:
+        result = PolicyTuner(default_context, WEB_SEARCH, trace).tune(
+            space, GridSearch()
+        )
+    deltas = cap.counter_deltas()
+    assert len(result.trials) == len(space.configs()) == 32
+    assert deltas["batch.groups"] == 4
+    assert deltas["batch.group_rows"] == 32
+    # The largest batch is the first one built: eight 5-node rows.
+    assert deltas["batch.peak_group_bytes"] == (
+        11 * 8 * 5 * len(trace) + 8 * len(trace) * (6 * 8 + 6 + 3)
+    )
 
 
 def test_fleet_groups_record_spans_below_batch_run(default_context):
-    """Each fleet group splits into timeline/routing/selection/tails/reduce."""
+    """A fleet group splits into timeline/routing/selection/tails/reduce.
+
+    Both routings share one fleet size, so they run as one group (one
+    chunk) with routing and governor as per-row data.
+    """
     trace = LoadTrace.bursty(steps=40, seed=2)
     specs = [
         ReplaySpec(
@@ -174,13 +212,14 @@ def test_fleet_groups_record_spans_below_batch_run(default_context):
     with obs.capture() as cap:
         BatchReplayRunner(default_context).run(specs).summaries()
     names = [span.name for span in cap.spans]
-    assert names.count("batch.timeline") == 2
-    # least_loaded routes inside its selection pass: no routing span.
+    assert names.count("batch.timeline") == 1
+    # least_loaded routes inside the selection pass; pack gets the
+    # group's one routing span.
     assert names.count("batch.routing") == 1
-    assert names.count("batch.selection") == 2
-    assert names.count("batch.tails") == 2
-    # One reduce span per group build, one per group's summaries.
-    assert names.count("batch.reduce") == 4
+    assert names.count("batch.selection") == 1
+    assert names.count("batch.tails") == 1
+    # One reduce span for the group build, one for its summaries.
+    assert names.count("batch.reduce") == 2
     (run,) = [s for s in cap.spans if s.name == "batch.run"]
     for span in cap.spans:
         if span.name in ("batch.timeline", "batch.routing"):
