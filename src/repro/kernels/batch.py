@@ -1673,12 +1673,12 @@ class BatchReplayRunner:
                 )
             )
         if batches and obs.is_enabled():
-            # A high-water mark: a report spanning several runs keeps
+            # A high-water mark: a capture spanning several runs keeps
             # the largest batch any of them built.
             obs.gauge(
                 "batch.peak_group_bytes",
                 max(
-                    obs.counters_snapshot().get("batch.peak_group_bytes", 0),
+                    obs.gauges_snapshot().get("batch.peak_group_bytes", 0),
                     *(batch.nbytes for batch in batches),
                 ),
             )

@@ -19,6 +19,7 @@ from repro.obs.core import (
     disable,
     enable,
     gauge,
+    gauges_snapshot,
     is_enabled,
     reset,
     suspended,
@@ -44,6 +45,7 @@ __all__ = [
     "disable",
     "enable",
     "gauge",
+    "gauges_snapshot",
     "is_enabled",
     "reset",
     "suspended",

@@ -13,13 +13,15 @@ Three primitives:
   wall time, nesting (parent id and depth, per thread), and tagged
   attributes (``with trace("batch.run", batch_size=B) as span: ...``;
   ``span.set(...)`` adds attributes discovered mid-span).
-* :func:`count` / :func:`gauge` -- a process-wide counter/gauge
-  registry keyed by dotted names (``context.memo_hits``,
-  ``batch.fallback_replays``, ...).
+* :func:`count` / :func:`gauge` -- process-wide counter and gauge
+  registries keyed by dotted names (``context.memo_hits``,
+  ``batch.peak_group_bytes``, ...).  A counter accumulates; a gauge
+  holds the last level set.
 * :func:`capture` -- the collection window: enables instrumentation on
-  entry, and on exit yields exactly the spans started inside the window
-  and the counter *deltas* accrued during it, so concurrent or repeated
-  captures never see each other's events.
+  entry, and on exit yields exactly the spans started inside the window,
+  the counter *deltas* accrued during it and the last level of every
+  gauge set inside it, so concurrent or repeated captures never see
+  each other's events.
 
 Everything is thread-safe: span entry/exit and counter updates take a
 single module lock, and the span stack (which defines parent/child
@@ -63,6 +65,10 @@ class _State:
         self.next_id = 0
         self.spans: List[SpanRecord] = []
         self.counters: Dict[str, float] = {}
+        # name -> (set sequence number, level); a capture reports the
+        # gauges whose last set came after its own start.
+        self.gauges: Dict[str, Tuple[int, float]] = {}
+        self.next_gauge_seq = 0
         self.local = threading.local()
 
     def stack(self) -> List["Span"]:
@@ -95,10 +101,11 @@ def disable() -> None:
 
 
 def reset() -> None:
-    """Drop every recorded span and counter (test isolation helper)."""
+    """Drop every recorded span, counter and gauge (test isolation helper)."""
     with _STATE.lock:
         _STATE.spans.clear()
         _STATE.counters.clear()
+        _STATE.gauges.clear()
 
 
 class _Suspended:
@@ -222,23 +229,34 @@ def gauge(name: str, value: float) -> None:
     if not _STATE.enabled:
         return
     with _STATE.lock:
-        _STATE.counters[name] = value
+        _STATE.gauges[name] = (_STATE.next_gauge_seq, value)
+        _STATE.next_gauge_seq += 1
 
 
 def counters_snapshot() -> Dict[str, float]:
-    """The registry's current cumulative values (copy)."""
+    """The counter registry's current cumulative values (copy)."""
     with _STATE.lock:
         return dict(_STATE.counters)
 
 
+def gauges_snapshot() -> Dict[str, float]:
+    """The gauge registry's current levels (copy).
+
+    The registry is emptied when the last open capture closes, so a
+    high-water gauge read here never carries over between windows.
+    """
+    with _STATE.lock:
+        return {name: level for name, (_, level) in _STATE.gauges.items()}
+
+
 class Capture:
-    """One collection window: spans started and counters accrued inside.
+    """One collection window: spans, counters and gauges inside it.
 
     Entering enables instrumentation (nested captures stack); exiting
     disables it again and freezes :attr:`spans`, :attr:`duration_s` and
-    the counter deltas.  When the last open capture closes, the global
-    span buffer is cleared so long-lived processes never grow it
-    unboundedly.
+    the counter deltas and gauge levels.  When the last open capture
+    closes, the global span buffer and gauge registry are cleared so
+    long-lived processes never grow them unboundedly.
     """
 
     def __init__(self) -> None:
@@ -246,6 +264,7 @@ class Capture:
         self.duration_s = 0.0
         self._id_start = 0
         self._counter_start: Dict[str, float] = {}
+        self._gauge_seq_start = 0
         self._start = 0.0
         self._closed_deltas: Optional[Dict[str, float]] = None
 
@@ -254,11 +273,13 @@ class Capture:
             _STATE.enabled += 1
             self._id_start = _STATE.next_id
             self._counter_start = dict(_STATE.counters)
+            self._gauge_seq_start = _STATE.next_gauge_seq
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc: object) -> bool:
         self.duration_s = time.perf_counter() - self._start
+        self._closed_deltas = self.counter_deltas()
         with _STATE.lock:
             _STATE.enabled -= 1
             collected = [
@@ -268,9 +289,9 @@ class Capture:
             ]
             if _STATE.enabled == 0:
                 _STATE.spans.clear()
+                _STATE.gauges.clear()
         collected.sort(key=lambda span: (span.start_s, span.span_id))
         self.spans = tuple(collected)
-        self._closed_deltas = self.counter_deltas()
         return False
 
     @property
@@ -279,19 +300,27 @@ class Capture:
         return self._start
 
     def counter_deltas(self) -> Dict[str, float]:
-        """Counters accrued inside the window (live until exit).
+        """Counters accrued and gauge levels set inside the window.
 
-        Integral values come back as ``int`` so reports serialise
-        event counts without a spurious ``.0``.
+        Live until exit.  A counter reports its delta over the window
+        (omitted when zero); a gauge reports the last level set inside
+        the window, whatever it was before.  Integral values come back
+        as ``int`` so reports serialise event counts without a spurious
+        ``.0``.
         """
         if self._closed_deltas is not None:
             return dict(self._closed_deltas)
-        current = counters_snapshot()
+        with _STATE.lock:
+            counters = dict(_STATE.counters)
+            gauges = dict(_STATE.gauges)
         deltas: Dict[str, float] = {}
-        for name, value in current.items():
+        for name, value in counters.items():
             delta = value - self._counter_start.get(name, 0)
             if delta != 0:
-                deltas[name] = int(delta) if delta == int(delta) else delta
+                deltas[name] = _integral(delta)
+        for name, (seq, level) in gauges.items():
+            if seq >= self._gauge_seq_start:
+                deltas[name] = _integral(level)
         return deltas
 
     def report(self, meta: Optional[Mapping[str, object]] = None):
@@ -299,6 +328,10 @@ class Capture:
         from repro.obs.report import RunReport
 
         return RunReport.from_capture(self, meta=meta)
+
+
+def _integral(value: float) -> float:
+    return int(value) if value == int(value) else value
 
 
 def capture() -> Capture:

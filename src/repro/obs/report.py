@@ -46,7 +46,8 @@ class RunReport:
     by start time); ``parents`` holds the *position* of each span's
     parent in the same tuples (``None`` for roots), so consumers can
     rebuild the tree without id bookkeeping.  ``counters`` are the
-    counter deltas accrued during the capture window.
+    counter deltas accrued during the capture window and the last level
+    of each gauge set inside it.
     """
 
     duration_s: float

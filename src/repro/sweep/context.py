@@ -6,8 +6,12 @@ access and recomputed the CPI stack up to six times per design point.
 exactly once per :class:`~repro.core.config.ServerConfiguration` and
 memoizes the quantities that are shared across the sweep:
 
-* per-(frequency, activity) core operating points (the body-bias scan
-  behind vdd and the core power breakdown) -- shared across workloads;
+* per-(frequency, activity) core operating points.  The expensive part
+  -- the body-bias scan behind vdd and leakage -- does not depend on
+  activity and is memoized per frequency inside the context's
+  :class:`~repro.technology.a57_model.CortexA57PowerModel`, so
+  workloads with different activity factors share it and only add
+  dynamic power;
 * per-frequency reachability;
 * per-(workload, frequency) performance points and fully-resolved
   operating-point records.
@@ -210,14 +214,7 @@ class ModelContext:
         traffic = self.performance_model.traffic(workload, point)
 
         core_power = operating_point.total_power * self.configuration.core_count
-        soc_power = self.soc_power_model.total_power(
-            frequency_hz,
-            workload.activity_factor,
-            llc_accesses_per_second=traffic.llc_accesses_per_second_per_cluster,
-            crossbar_bytes_per_second=traffic.crossbar_bytes_per_second_per_cluster,
-            operating_point=operating_point,
-        )
-        server_power = self.server_power_model.total_power(
+        breakdown = self.server_power_model.breakdown(
             frequency_hz,
             workload.activity_factor,
             memory_read_bandwidth=traffic.read_bandwidth,
@@ -226,6 +223,8 @@ class ModelContext:
             crossbar_bytes_per_second=traffic.crossbar_bytes_per_second_per_cluster,
             operating_point=operating_point,
         )
+        soc_power = breakdown.soc.total
+        server_power = breakdown.total
 
         latency_seconds = None
         latency_normalized = None

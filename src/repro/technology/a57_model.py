@@ -102,6 +102,14 @@ class CortexA57PowerModel:
         Junction temperature used for delay and leakage.
     dynamic:
         Switching power model; default calibrated for an A57 at 28nm.
+
+    The supply voltage, effective threshold and leakage at a (frequency,
+    bias) pair do not depend on activity, so each frequency's body-bias
+    scan is solved once and memoized on the instance;
+    :meth:`operating_point` then only adds dynamic power per call.  The
+    memo lives exactly as long as the instance (nothing is global), and
+    it is safe under threads: entries are immutable once stored, so a
+    race at worst solves the same frequency twice.
     """
 
     technology: ProcessTechnology = FDSOI_28NM
@@ -159,39 +167,55 @@ class CortexA57PowerModel:
         steps = 32
         return tuple(maximum * index / steps for index in range(steps + 1))
 
-    def _operating_point_at_bias(
-        self, frequency_hz: float, bias: float, activity: float
-    ) -> CoreOperatingPoint | None:
-        vf_model = self.vf_model
-        technology = self.technology
-        maximum_frequency = vf_model.max_frequency(technology.nominal_vdd, bias)
-        if frequency_hz > maximum_frequency:
-            return None
-        vdd = vf_model.vdd_for_frequency(frequency_hz, body_bias=bias)
-        vdd = max(vdd, technology.min_functional_vdd)
-        vth_eff = vf_model.effective_threshold(bias)
-        dynamic_power = self.dynamic.power(vdd, frequency_hz, activity)
-        leakage_power = self.leakage_model.power(
-            vdd, vth_eff=vth_eff, temperature_kelvin=self.temperature_kelvin
+    # -- the activity-independent scan -------------------------------------------
+
+    @cached_property
+    def _bias_reach(self) -> tuple:
+        """``(bias, f_max at nominal vdd)`` per candidate bias, in order."""
+        nominal_vdd = self.technology.nominal_vdd
+        return tuple(
+            (bias, self.vf_model.max_frequency(nominal_vdd, bias))
+            for bias in self._candidate_bias_grid
         )
-        return CoreOperatingPoint(
-            frequency_hz=frequency_hz,
-            vdd=vdd,
-            body_bias=bias,
-            dynamic_power=dynamic_power,
-            leakage_power=leakage_power,
-        )
+
+    @cached_property
+    def _scans(self) -> dict:
+        """``frequency -> ((bias, vdd, leakage_power), ...)`` memo."""
+        return {}
+
+    def _scan(self, frequency_hz: float) -> tuple:
+        """The feasible biases at ``frequency_hz`` with their vdd and leakage.
+
+        None of it depends on activity, so it is solved once per
+        frequency per instance; only dynamic power is left per call.
+        """
+        scan = self._scans.get(frequency_hz)
+        if scan is None:
+            vf_model = self.vf_model
+            min_vdd = self.technology.min_functional_vdd
+            rows = []
+            for bias, maximum_frequency in self._bias_reach:
+                if frequency_hz > maximum_frequency:
+                    continue
+                vdd = vf_model.vdd_for_frequency(frequency_hz, body_bias=bias)
+                vdd = max(vdd, min_vdd)
+                leakage_power = self.leakage_model.power(
+                    vdd,
+                    vth_eff=vf_model.effective_threshold(bias),
+                    temperature_kelvin=self.temperature_kelvin,
+                )
+                rows.append((bias, vdd, leakage_power))
+            scan = tuple(rows)
+            self._scans[frequency_hz] = scan
+        return scan
 
     # -- public API ----------------------------------------------------------------
 
     def max_frequency(self) -> float:
         """Highest frequency reachable at nominal voltage (best allowed bias)."""
         best = 0.0
-        for bias in self._candidate_bias_grid:
-            best = max(
-                best,
-                self.vf_model.max_frequency(self.technology.nominal_vdd, bias),
-            )
+        for _, maximum_frequency in self._bias_reach:
+            best = max(best, maximum_frequency)
         return best
 
     def min_voltage_frequency(self) -> float:
@@ -201,7 +225,7 @@ class CortexA57PowerModel:
         above 500MHz with forward body bias.
         """
         best = 0.0
-        for bias in self._candidate_bias_grid:
+        for bias, _ in self._bias_reach:
             best = max(
                 best,
                 self.vf_model.max_frequency(self.technology.min_functional_vdd, bias),
@@ -221,19 +245,27 @@ class CortexA57PowerModel:
         """
         check_positive("frequency_hz", frequency_hz)
         check_fraction("activity", activity)
-        best: CoreOperatingPoint | None = None
-        for bias in self._candidate_bias_grid:
-            candidate = self._operating_point_at_bias(frequency_hz, bias, activity)
-            if candidate is None:
-                continue
-            if best is None or candidate.total_power < best.total_power:
-                best = candidate
+        best = None
+        best_total = 0.0
+        for bias, vdd, leakage_power in self._scan(frequency_hz):
+            dynamic_power = self.dynamic.power(vdd, frequency_hz, activity)
+            total = dynamic_power + leakage_power
+            if best is None or total < best_total:
+                best = (bias, vdd, dynamic_power, leakage_power)
+                best_total = total
         if best is None:
             raise ValueError(
                 f"{self.technology.name} ({self.bias_policy.value} bias) cannot reach "
                 f"{frequency_hz / 1e6:.0f}MHz at nominal voltage"
             )
-        return best
+        bias, vdd, dynamic_power, leakage_power = best
+        return CoreOperatingPoint(
+            frequency_hz=frequency_hz,
+            vdd=vdd,
+            body_bias=bias,
+            dynamic_power=dynamic_power,
+            leakage_power=leakage_power,
+        )
 
     def core_power(self, frequency_hz: float, activity: float = 1.0) -> float:
         """Total per-core power in watts at ``frequency_hz``."""

@@ -23,11 +23,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro import obs
 from repro.technology.process import ProcessTechnology
 from repro.utils.validation import check_positive
 
 THERMAL_VOLTAGE_300K = 0.02585
 """Thermal voltage kT/q at 300 kelvin, in volts."""
+
+
+def _max_frequency(
+    vdd: float, vth_eff: float, two_n_vt: float, drive: float
+) -> float:
+    """``f_max`` at a positive ``vdd``: the transregional formula above."""
+    overdrive = (vdd - vth_eff) / two_n_vt
+    # log1p(exp(x)) computed stably for large positive overdrive.
+    if overdrive > 30.0:
+        log_term = overdrive
+    else:
+        log_term = math.log1p(math.exp(overdrive))
+    charge = two_n_vt * log_term
+    return drive * (charge * charge) / vdd
 
 
 @dataclass(frozen=True)
@@ -72,17 +87,10 @@ class TransregionalVFModel:
             )
         return tech.threshold_voltage - tech.body_effect_coefficient * body_bias
 
-    def _inversion_charge(self, vdd: float, vth_eff: float) -> float:
-        """Smooth interpolation of the normalised on-current."""
+    def _two_n_vt(self) -> float:
+        """Twice the subthreshold slope voltage ``n * v_T``."""
         n_vt = self.technology.subthreshold_slope_factor * self.thermal_voltage
-        overdrive = (vdd - vth_eff) / (2.0 * n_vt)
-        # log1p(exp(x)) computed stably for large positive overdrive.
-        if overdrive > 30.0:
-            log_term = overdrive
-        else:
-            log_term = math.log1p(math.exp(overdrive))
-        charge = 2.0 * n_vt * log_term
-        return charge * charge
+        return 2.0 * n_vt
 
     # -- public API ------------------------------------------------------------
 
@@ -96,8 +104,12 @@ class TransregionalVFModel:
         """
         if vdd <= 0.0:
             return 0.0
-        vth_eff = self.effective_threshold(body_bias)
-        return self.technology.drive_factor * self._inversion_charge(vdd, vth_eff) / vdd
+        return _max_frequency(
+            vdd,
+            self.effective_threshold(body_bias),
+            self._two_n_vt(),
+            self.technology.drive_factor,
+        )
 
     def vdd_for_frequency(
         self,
@@ -108,7 +120,11 @@ class TransregionalVFModel:
     ) -> float:
         """Lowest supply voltage able to sustain ``frequency_hz``.
 
-        Solved by bisection on the monotone ``max_frequency`` curve.
+        Solved by bisection on the monotone ``max_frequency`` curve.  The
+        per-bias invariants (effective threshold, ``2 n v_T``, drive
+        factor) are computed once per solve; every midpoint evaluates
+        the same expression as :meth:`max_frequency`, so the result is
+        bit-identical to bisecting over the public method.
 
         Raises
         ------
@@ -118,16 +134,23 @@ class TransregionalVFModel:
         """
         check_positive("frequency_hz", frequency_hz)
         upper = vdd_max if vdd_max is not None else self.technology.nominal_vdd
-        if self.max_frequency(upper, body_bias) < frequency_hz:
+        vth_eff = self.effective_threshold(body_bias)
+        two_n_vt = self._two_n_vt()
+        drive = self.technology.drive_factor
+        if (
+            upper <= 0.0
+            or _max_frequency(upper, vth_eff, two_n_vt, drive) < frequency_hz
+        ):
             raise ValueError(
                 f"{self.technology.name} cannot reach "
                 f"{frequency_hz / 1e6:.0f}MHz at or below {upper:.2f}V"
                 f" (body bias {body_bias:+.2f}V)"
             )
+        obs.count("technology.vdd_solves")
         lower = 0.05
         while upper - lower > tolerance:
             midpoint = 0.5 * (lower + upper)
-            if self.max_frequency(midpoint, body_bias) >= frequency_hz:
+            if _max_frequency(midpoint, vth_eff, two_n_vt, drive) >= frequency_hz:
                 upper = midpoint
             else:
                 lower = midpoint

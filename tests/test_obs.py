@@ -181,6 +181,35 @@ def test_gauge_overwrites_instead_of_accumulating():
     assert cap.counter_deltas() == {"level": 7}
 
 
+def test_gauges_report_the_level_set_in_the_window_not_a_delta():
+    with obs.capture() as first:
+        obs.gauge("level", 5)
+    with obs.capture() as second:
+        obs.gauge("level", 5)  # same level again: still reported
+    with obs.capture() as third:
+        obs.gauge("level", 5)
+        obs.gauge("level", 3)  # lower than before: the level, not -2
+    assert first.counter_deltas() == {"level": 5}
+    assert second.counter_deltas() == {"level": 5}
+    assert third.counter_deltas() == {"level": 3}
+    # Gauges live in their own registry, apart from the counters.
+    assert obs.counters_snapshot() == {}
+
+
+def test_gauges_set_outside_a_window_are_not_reported():
+    with obs.capture():
+        obs.gauge("level", 5)
+        with obs.capture() as inner:
+            obs.count("events")
+        assert obs.gauges_snapshot() == {"level": 5}
+    assert inner.counter_deltas() == {"events": 1}
+    # The last window closing empties the gauge registry.
+    assert obs.gauges_snapshot() == {}
+    with obs.capture() as later:
+        pass
+    assert later.counter_deltas() == {}
+
+
 # -- run reports -----------------------------------------------------------------------
 
 

@@ -21,8 +21,10 @@ from repro.fleet import Autoscaler, FleetSimulator
 from repro.kernels import BatchReplayRunner, ReplaySpec
 from repro.opt import GridSearch, ParamSpace, PolicyConfig, PolicyTuner
 from repro.sweep.context import ModelContext
-from repro.workloads.banking_vm import VMS_LOW_MEM
-from repro.workloads.cloudsuite import WEB_SEARCH
+from repro.technology.a57_model import BodyBiasPolicy
+from repro.technology.process import FDSOI_28NM_FBB
+from repro.workloads.banking_vm import VMS_LOW_MEM, virtualized_workloads
+from repro.workloads.cloudsuite import WEB_SEARCH, scale_out_workloads
 
 
 @pytest.fixture(autouse=True)
@@ -50,6 +52,42 @@ def test_memo_misses_match_evaluated_points_exactly_once():
     assert deltas["context.memo_hits"] == len(grid)
     assert context.evaluated_points == len(grid)
     assert deltas["context.memo_misses"] == context.evaluated_points
+
+
+def test_vdd_solves_once_per_reachable_frequency_and_feasible_bias():
+    """The body-bias scan is activity-free: six workloads share one solve.
+
+    The six paper workloads span five activity factors, yet each
+    (reachable frequency, feasible bias) pair is bisected exactly once.
+    A second fresh context repeats the full count: the scan lives on the
+    context's own core model, never in a global memo.
+    """
+    workloads = [*scale_out_workloads().values(), *virtualized_workloads().values()]
+    assert len({workload.activity_factor for workload in workloads}) == 5
+    configuration = default_server().with_technology(
+        FDSOI_28NM_FBB, bias_policy=BodyBiasPolicy.OPTIMAL
+    )
+    grid = tuple(configuration.frequency_grid) + (4.5e9, 6e9)
+
+    reference = configuration.core_power_model()
+    usable = reference.body_bias_model.usable_forward_bias
+    limits = [
+        reference.vf_model.max_frequency(FDSOI_28NM_FBB.nominal_vdd, usable * i / 32)
+        for i in range(33)
+    ]
+    feasible = [sum(f <= limit for limit in limits) for f in grid]
+    expected = sum(feasible)
+    assert 0 in feasible and len(set(feasible)) > 2  # edges are exercised
+
+    solves = []
+    for _ in range(2):
+        context = ModelContext(configuration)
+        with obs.capture() as cap:
+            for workload in workloads:
+                context.evaluate_workload(workload, grid)
+        assert context.evaluated_points == 6 * sum(n > 0 for n in feasible)
+        solves.append(cap.counter_deltas()["technology.vdd_solves"])
+    assert solves == [expected, expected]
 
 
 def test_memo_counters_key_by_workload_and_frequency():
@@ -188,6 +226,29 @@ def test_tuner_rung_runs_one_group_per_fleet_size(default_context):
     # The largest batch is the first one built: eight 5-node rows.
     assert deltas["batch.peak_group_bytes"] == (
         11 * 8 * 5 * len(trace) + 8 * len(trace) * (6 * 8 + 6 + 3)
+    )
+
+
+def test_peak_group_bytes_reads_the_same_in_repeated_captures(default_context):
+    """A gauge is a level, not a delta: an identical rerun reports it again."""
+    trace = LoadTrace.bursty(steps=40, seed=2)
+    specs = [
+        ReplaySpec(
+            workload=WEB_SEARCH,
+            trace=trace,
+            governor="ondemand",
+            fleet_size=4,
+            routing="pack",
+            autoscaler=Autoscaler(),
+        )
+    ]
+    peaks = []
+    for _ in range(2):
+        with obs.capture() as cap:
+            BatchReplayRunner(default_context).run(specs)
+        peaks.append(cap.counter_deltas()["batch.peak_group_bytes"])
+    assert peaks[0] == peaks[1] == (
+        11 * 4 * len(trace) + len(trace) * (6 * 8 + 6 + 3)
     )
 
 
